@@ -26,14 +26,15 @@ from .rings import RingSignature, Element, POLY, WEYL
 from .groebner import Ideal, homogenized_ideal
 from .polyhedra import (HCone, cone_from_rays, validate_fan,
                         FanValidationError, newton_polyhedron, normal_fan)
-from .fans import (WeightSubspace, region_cone, enumerate_cones,
-                   assemble_closed_fan)
+from .fans import (WeightSubspace, full_subspace, region_cone,
+                   enumerate_cones, assemble_closed_fan)
 from .localfan import (assemble_local_fan, translate_base_point,
                        local_initials_equal)
 
 MODES = ("global-fan", "local-fan", "normal-fan", "compare-initials",
          "check-fan")
 REGIONS = ("uloc", "upos", "uglob", "wloc", "wglob")
+HOMOGENIZATIONS = ("alpha", "h01", "h11", "double", "auto")
 
 
 class ParseError(Exception):
@@ -317,7 +318,7 @@ def parse_problem(text):
             spec.region = region
         elif kw == "homogenization":
             h = ts.expect("name", "a homogenization name")[1]
-            if h not in ("alpha", "h01", "h11", "double", "auto"):
+            if h not in HOMOGENIZATIONS:
                 ts.error("unknown homogenization %r" % h)
             spec.homogenization = h
         elif kw == "alpha":
@@ -349,32 +350,33 @@ def _subspace(spec, mode):
     sig = spec.sig
     wd = sig.weight_dim
     region = spec.region or _default_region(sig, mode)
-    rows = spec.rows
-    if rows is None:
-        rows = [tuple(1 if j == i else 0 for j in range(wd))
-                for i in range(wd)]
-    for r in rows:
+    if spec.rows is None:
+        return full_subspace(sig, region)
+    for r in spec.rows:
         if len(r) != wd:
             raise ParseError("subspace rows must have arity %d" % wd)
-    return WeightSubspace(wd, rows, region_cone(sig, region))
+    return WeightSubspace(wd, spec.rows, region_cone(sig, region))
 
 
-def _homog_mode(spec):
+def _lift(spec, mode):
+    """The lift the run computes in (`auto`: the first allowed; None for
+    normal-fan).  Local runs lift by the default grading, so only a poly
+    global fan takes `alpha:`.  An unused setting is a ParseError."""
+    kind = spec.sig.kind
+    if mode == "normal-fan":
+        lifts = ()
+    elif kind == POLY:
+        lifts = ("alpha",)
+    else:
+        lifts = ("h11", "double") if mode == "global-fan" else ("double",)
     h = spec.homogenization
-    if h == "auto":
-        return None if spec.sig.kind == POLY else "double"
-    if h in ("h01", "double"):
-        return "double"
-    return h
-
-
-def _hideal(spec, ideal, mode):
-    sig = spec.sig
-    if sig.kind == POLY:
-        return homogenized_ideal(ideal, alpha=spec.alpha)
-    if mode == "global-fan" and spec.homogenization in ("auto", "h11"):
-        return homogenized_ideal(ideal, mode="h11")
-    return homogenized_ideal(ideal, mode=_homog_mode(spec))
+    if h != "auto" and h not in lifts:
+        raise ParseError("homogenization %s is not used by %s on a %s ring "
+                         "(it uses %s)" % (h, mode, kind,
+                                           " or ".join(lifts) or "none"))
+    if spec.alpha is not None and (kind, mode) != (POLY, "global-fan"):
+        raise ParseError("alpha is used only by global-fan on a poly ring")
+    return next(iter(lifts), None) if h == "auto" else h
 
 
 def _ivec(v):
@@ -443,6 +445,9 @@ def run(spec, text="", validate=False, check=False):
     mode = spec.mode
     if mode is None:
         raise ParseError("no mode given (statement `mode:` or flag --mode)")
+    if mode == "check-fan":
+        raise ParseError("check-fan reads a fan document, not a problem")
+    lift = _lift(spec, mode)
     sig = spec.sig
     ideal = Ideal(sig, spec.generators)
     if spec.base_point is not None:
@@ -500,7 +505,7 @@ def run(spec, text="", validate=False, check=False):
         return _fan_document(mode, S, lf.cones, annotations, classes, text)
 
     # global-fan
-    hid = _hideal(spec, ideal, mode)
+    hid = homogenized_ideal(ideal, mode=lift, alpha=spec.alpha)
     maximal = enumerate_cones(hid, S, check=check)
     cones = assemble_closed_fan([gc.cone for gc in maximal])
     if validate:
@@ -590,9 +595,7 @@ def main(argv=None):
     ap.add_argument("--subspace", help="rows, inline `[[...],[...]]` or file")
     ap.add_argument("--base-point", dest="base_point",
                     help="rational point, e.g. `[1,-2]`")
-    ap.add_argument("--homogenization",
-                    choices=("alpha", "h01", "h11", "double", "auto"))
-    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--homogenization", choices=HOMOGENIZATIONS)
     ap.add_argument("--emit", choices=("json", "summary"), default="json")
     ap.add_argument("--validate", action="store_true",
                     help="run fan validation even in global mode")

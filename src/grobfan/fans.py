@@ -1,11 +1,13 @@
 """Groebner cones of a homogenized ideal and their enumeration by facet
 flipping, restricted to a linearly parametrized subspace of weights."""
 
+from copy import copy
+
 from .rational import QQ
-from .linalg import vdot, is_zero_vec, primitive
+from .linalg import vdot, is_zero_vec, nullspace
 from .orders import groebner_order, leading_data
 from .groebner import buchberger, initial_ideal
-from .polyhedra import HCone
+from .polyhedra import HCone, assemble_closed_fan  # re-exported
 
 _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
            59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113]
@@ -67,6 +69,12 @@ class WeightSubspace:
     def pullback(self, covector):
         return tuple(vdot(covector, row) for row in self.rows)
 
+    def restrict(self, face):
+        """The same parametrization over a face of the parameter region."""
+        sub = copy(self)
+        sub.region = face
+        return sub
+
 
 def full_subspace(sig, region_kind):
     m = sig.weight_dim
@@ -119,20 +127,21 @@ def groebner_cone(hideal, y, S, seed=None, check=False):
     return GroebnerCone(cone, tuple(QQ(c) for c in y), basis, initials, order)
 
 
+def _span_basis(eq_rows, p):
+    """A basis of the kernel of the equation rows (unit vectors if none)."""
+    if eq_rows:
+        return nullspace(list(eq_rows), p)
+    return [tuple(1 if j == i else 0 for j in range(p)) for i in range(p)]
+
+
 def _candidate_points(S):
     """Deterministic interior candidates: the region's relative-interior
     point, then prime-coefficient perturbations along the region's affine
     hull (so candidates on lower-dimensional faces stay inside them)."""
-    from .linalg import nullspace
     base = S.region.relint_point()
     p = S.dim
     yield base
-    eqs = S.region.equation_basis()
-    if eqs:
-        dirs = nullspace(list(eqs), p)
-    else:
-        dirs = [tuple(1 if j == i else 0 for j in range(p))
-                for i in range(p)]
+    dirs = _span_basis(S.region.equation_basis(), p)
     if not dirs:
         return
     for k in range(START_BUDGET):
@@ -152,15 +161,9 @@ def _projected_direction(covector, eq_rows):
     """A direction with negative pairing against the covector inside the
     common equation space: minus the projection of the covector onto the
     orthogonal complement of the equations."""
-    from .linalg import nullspace
     p = len(covector)
-    if eq_rows:
-        basis = nullspace(list(eq_rows), p)
-    else:
-        basis = [tuple(1 if j == i else 0 for j in range(p))
-                 for i in range(p)]
     d = [QQ(0)] * p
-    for nvec in basis:
+    for nvec in _span_basis(eq_rows, p):
         c = vdot(covector, nvec)
         d = [a - c * b for a, b in zip(d, nvec)]
     return tuple(d)
@@ -224,13 +227,3 @@ def enumerate_cones(hideal, S, check=False):
                 found[nb.key()] = nb
                 queue.append(nb)
     return list(found.values())
-
-
-def assemble_closed_fan(cones):
-    """Closures of the given cones together with all their faces, as a
-    deduplicated list of H-cones."""
-    out = {}
-    for c in cones:
-        for f in c.faces():
-            out.setdefault(f.key(), f)
-    return list(out.values())

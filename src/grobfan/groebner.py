@@ -156,7 +156,8 @@ def membership(p, basis, order, check=False):
 def homogenized_ideal(ideal, mode=None, alpha=None):
     """Lift an ideal into the homogenized signature used for basis
     computations: alpha for commutative input, h11 or h01+double for Weyl
-    input (mode picks which; default alpha / double).
+    input (mode picks which; default alpha / double).  Any other mode, or
+    alpha weights for a Weyl ring, raise ValueError.
 
     The result is the generator lift J = <H(f_1), ..., H(f_r)> of the
     given generators f_i.  It depends on the generating set: two
@@ -164,13 +165,16 @@ def homogenized_ideal(ideal, mode=None, alpha=None):
     different Groebner fans.  saturate_h(J) gives H(I) = J : h^inf, which
     depends on I only."""
     sig = ideal.sig
-    if sig.kind == POLY:
+    if sig.kind == POLY and mode in (None, "alpha"):
         gens = [homogenize(g, "alpha", alpha=alpha) for g in ideal.generators]
-    elif mode == "h11":
+    elif sig.kind == WEYL and alpha is None and mode == "h11":
         gens = [homogenize(g, "h11") for g in ideal.generators]
-    else:
+    elif sig.kind == WEYL and alpha is None and mode in (None, "double"):
         gens = [homogenize(homogenize(g, "h01"), "double")
                 for g in ideal.generators]
+    else:
+        raise ValueError("a %s ring has no lift for mode %r, alpha %r"
+                         % (sig.kind, mode, alpha))
     return Ideal(gens[0].sig, gens)
 
 
@@ -211,17 +215,18 @@ def saturate_h(ideal):
     return Ideal(sig, interreduce(out, order))
 
 
+def dehomogenized_basis(basis):
+    """The nonzero images of a lifted basis under substituting 1 for the
+    variable the lift added last (h for alpha and h11, h2 for double)."""
+    which = "h2" if basis[0].sig.has_h2 else "h"
+    out = (dehomogenize(g, which) for g in basis)
+    return [d for d in out if not d.is_zero()]
+
+
 def local_standard_basis(ideal, w, check=False):
     """Standard basis of the local (resp. h-homogenized differential) ideal
     for the weight w: reduced basis of the homogenized ideal under the
     w-refined well order, then substitution of 1 for the added variable."""
     hid = homogenized_ideal(ideal)
     order = groebner_order(hid.sig, w)
-    basis = buchberger(hid.generators, order, check=check)
-    which = "h2" if hid.sig.has_h2 else "h"
-    out = []
-    for g in basis:
-        d = dehomogenize(g, which)
-        if not d.is_zero():
-            out.append(d)
-    return out
+    return dehomogenized_basis(buchberger(hid.generators, order, check=check))

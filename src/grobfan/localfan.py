@@ -2,14 +2,15 @@
 for local initial ideals via restricted ecart division, gluing of enumerated
 cones into classes, and assembly of the validated closed fan."""
 
-from .rational import QQ
 from .linalg import vdot
-from .rings import POLY, translate
+from .rings import translate
 from .orders import local_order
 from .division import mora_divide
-from .groebner import Ideal, local_standard_basis, homogenized_ideal
-from .polyhedra import HCone, cone_from_rays, validate_fan, FanValidationError
-from .fans import WeightSubspace, groebner_cone, enumerate_cones
+from .groebner import (Ideal, local_standard_basis, homogenized_ideal,
+                       dehomogenized_basis)
+from .polyhedra import (HCone, cone_from_rays, validate_fan,
+                        FanValidationError, assemble_closed_fan)
+from .fans import enumerate_cones
 
 
 def stratum_of(sig, w):
@@ -29,27 +30,14 @@ def allowed_block(sig, stratum):
     return frozenset(range(sig.n)) - stratum[0]
 
 
-def local_initials_equal(ideal, w, wp, check=False, _cache=None):
-    """Whether the two weights cut the same initial ideal of the local
-    (resp. h-homogenized differential) ideal.  Both weights must lie in the
-    same support stratum; the test reduces each side's initial forms to zero
-    against the other's standard basis by block-restricted ecart division."""
-    sig = ideal.sig
+def _initials_equal(sig, w, g1, wp, g2, check=False):
+    """Whether the standard bases g1 at w and g2 at wp, in one support
+    stratum, cut the same local initial ideal: each side's initial forms
+    reduce to zero against the other's by block-restricted ecart division."""
     st = stratum_of(sig, w)
     if st != stratum_of(sig, wp):
         raise ValueError("weights lie in different support strata")
     block = allowed_block(sig, st)
-
-    def sb(weight):
-        if _cache is not None and weight in _cache:
-            return _cache[weight]
-        basis = local_standard_basis(ideal, weight, check=check)
-        if _cache is not None:
-            _cache[weight] = basis
-        return basis
-
-    g1 = sb(tuple(w))
-    g2 = sb(tuple(wp))
     if not g1 or not g2:
         return (not g1) == (not g2)
     dsig = g1[0].sig
@@ -67,6 +55,14 @@ def local_initials_equal(ideal, w, wp, check=False, _cache=None):
         return True
 
     return (one_sided(g1, w, g2, wp) and one_sided(g2, wp, g1, w))
+
+
+def local_initials_equal(ideal, w, wp, check=False):
+    """Whether the two weights, in one support stratum, cut the same initial
+    ideal of the local (resp. h-homogenized differential) ideal."""
+    g1 = local_standard_basis(ideal, w, check=check)
+    g2 = local_standard_basis(ideal, wp, check=check)
+    return _initials_equal(ideal.sig, w, g1, wp, g2, check=check)
 
 
 class LocalFanClass:
@@ -111,8 +107,9 @@ def _glue(members, pdim):
 
 
 def merge_classes(cones, ideal, S, check=False):
-    """Union-find over enumerated cones of one stratum, merging cones whose
-    witness weights give equal local initial ideals."""
+    """Union-find over the cones enumerate_cones found for homogenized_ideal
+    (ideal) on one stratum, merging cones whose witnesses give equal local
+    initial ideals; a dehomogenized cone basis is the standard basis."""
     k = len(cones)
     parent = list(range(k))
 
@@ -122,22 +119,22 @@ def merge_classes(cones, ideal, S, check=False):
             i = parent[i]
         return i
 
-    cache = {}
     sig = ideal.sig
-    witnesses = [tuple(S.to_ambient(c.witness)) for c in cones]
+    witnesses = [S.to_ambient(c.witness) for c in cones]
+    bases = [dehomogenized_basis(c.basis) for c in cones]
     for i in range(k):
         for j in range(i + 1, k):
             if find(i) == find(j):
                 continue
-            if local_initials_equal(ideal, witnesses[i], witnesses[j],
-                                    check=check, _cache=cache):
+            if _initials_equal(sig, witnesses[i], bases[i],
+                               witnesses[j], bases[j], check=check):
                 parent[find(j)] = find(i)
     groups = {}
     for i in range(k):
         groups.setdefault(find(i), []).append(cones[i])
     out = []
     for members in groups.values():
-        stratum = stratum_of(sig, tuple(S.to_ambient(members[0].witness)))
+        stratum = stratum_of(sig, S.to_ambient(members[0].witness))
         closure = _glue(members, S.dim)
         witness = min(tuple(m.witness) for m in members)
         out.append(LocalFanClass(stratum, members, closure, witness))
@@ -161,17 +158,10 @@ def assemble_local_fan(ideal, S, check=False):
     hid = homogenized_ideal(ideal)
     classes = []
     for face in S.region.faces():
-        Sf = WeightSubspace.__new__(WeightSubspace)
-        Sf.ambient = S.ambient
-        Sf.rows = S.rows
-        Sf.region = face
+        Sf = S.restrict(face)
         cones = enumerate_cones(hid, Sf, check=check)
         classes.extend(merge_classes(cones, ideal, Sf, check=check))
-    fan = {}
-    for cl in classes:
-        for f in cl.closure.faces():
-            fan.setdefault(f.key(), f)
-    cones = list(fan.values())
+    cones = assemble_closed_fan([cl.closure for cl in classes])
     ok, problems = validate_fan(cones)
     if not ok:
         raise FanValidationError("assembled local fan fails validation: %s"

@@ -240,6 +240,16 @@ def cone_from_rays(ambient, rays, lines=()):
     return HCone(ambient, ineqs, eqs)
 
 
+def assemble_closed_fan(cones):
+    """Closures of the given cones together with all their faces, as a
+    deduplicated list of H-cones."""
+    out = {}
+    for c in cones:
+        for f in c.faces():
+            out.setdefault(f.key(), f)
+    return list(out.values())
+
+
 def validate_fan(cones):
     """Check the two fan axioms plus disjointness of maximal relative
     interiors.  Returns (ok, list of violation strings)."""
@@ -393,8 +403,4 @@ def normal_fan(p, region):
         c = HCone(p.ambient, ineqs).intersect(region)
         if c.dim == rdim:
             maximal.setdefault(c.key(), c)
-    cones = {}
-    for c in maximal.values():
-        for f in c.faces():
-            cones.setdefault(f.key(), f)
-    return list(cones.values())
+    return assemble_closed_fan(maximal.values())

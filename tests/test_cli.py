@@ -154,6 +154,9 @@ def test_cli_compare_initials():
     text2 = text.replace("[-5,-2]", "[-2,-5]")
     code, out = run_cli(["--emit", "summary"], text2)
     assert code == 0 and b"equal: no" in out
+    # a weight of the wrong arity is a computation error, not a crash
+    code, out = run_cli([], text.replace("[-5,-2]", "[-5]"))
+    assert (code, out) == (3, b"")
 
 
 def test_cli_base_point_flag():
@@ -184,3 +187,62 @@ def test_cones_sorted_canonically():
     assert dims == sorted(dims, reverse=True)
     ids = [c["id"] for c in doc["cones"]]
     assert ids == list(range(len(ids)))
+
+
+EULER = "ring weyl(x);\nideal: x*dx + 2;\nmode: local-fan;\n"
+
+
+def test_cli_rejects_a_lift_the_run_does_not_use(capsys):
+    # every (problem, setting) pair names a homogenization or alpha that
+    # the run would ignore: exit 2 with a message naming it
+    poly_global = CUSP.replace("local-fan", "global-fan")
+    cases = [
+        (EULER, "homogenization: alpha;", "alpha"),
+        (EULER, "homogenization: h11;", "h11"),
+        (EULER, "homogenization: h01;", "h01"),
+        (EULER, "alpha: [1];", "alpha"),
+        (BS, "alpha: [1,1,1,1];", "alpha"),
+        (BS, "homogenization: alpha;", "alpha"),
+        (poly_global, "homogenization: h11;", "h11"),
+        (poly_global, "homogenization: double;", "double"),
+        (poly_global, "homogenization: h01;", "h01"),
+        (CUSP, "alpha: [5,7];", "alpha"),
+        (CUSP, "homogenization: double;", "double"),
+        (CUSP.replace("local-fan", "normal-fan"), "homogenization: alpha;",
+         "alpha"),
+    ]
+    for text, stmt, name in cases:
+        capsys.readouterr()
+        code, out = run_cli([], text + stmt + "\n")
+        err = capsys.readouterr().err
+        assert (code, out) == (2, b""), (text, stmt)
+        assert name in err, (text, stmt, err)
+    capsys.readouterr()
+    code, _ = run_cli(["--homogenization", "h11"], EULER)
+    assert code == 2 and "h11" in capsys.readouterr().err
+
+
+def test_cli_lifts_the_run_uses():
+    # auto and the named lift agree; alpha weights reach the poly global fan
+    for text, named in ((EULER, "double"), (CUSP, "alpha"),
+                        (BS.replace("homogenization: h11;\n", ""), "h11")):
+        code, auto = run_cli([], text)
+        assert code == 0
+        assert run_cli(["--homogenization", named], text) == (0, auto)
+    code, out = run_cli(["--emit", "summary"], BS.replace("h11", "double"))
+    assert code == 0 and b"maximal cones" in out
+    poly_global = ("ring poly(x,y);\nideal: x^3 - y^2 + x*y;\n"
+                   "mode: global-fan;\n")
+    code, plain = run_cli([], poly_global)
+    assert code == 0 and b"x*y*h\"" in plain
+    code, ones = run_cli([], poly_global + "alpha: [1,1];\n")
+    assert code == 0
+    assert ({**json.loads(ones), "provenance": None}
+            == {**json.loads(plain), "provenance": None})
+    code, weighted = run_cli([], poly_global + "alpha: [5,7];\n")
+    assert code == 0 and b"x*y*h^3\"" in weighted
+
+
+def test_problem_file_cannot_ask_for_check_fan():
+    code, out = run_cli([], CUSP.replace("local-fan", "check-fan"))
+    assert (code, out) == (2, b"")

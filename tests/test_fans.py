@@ -46,6 +46,15 @@ def test_subspace_pullback():
     assert S.to_ambient((QQ(2), QQ(3)))[0] == -2
 
 
+def test_subspace_restrict_to_face():
+    sig = RingSignature(2, "poly")
+    S = WeightSubspace(2, [(-2, -3)], region_cone(sig, "uloc"))
+    face = HCone(1, [], [(1,)])
+    Sf = S.restrict(face)
+    assert (Sf.ambient, Sf.rows, Sf.region) == (S.ambient, S.rows, face)
+    assert S.region.dim == 1 and Sf.region.dim == 0
+
+
 def test_cusp_cones_over_uloc():
     hid = cusp_hideal()
     S = full_subspace(RingSignature(2, "poly"), "uloc")

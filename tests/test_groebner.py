@@ -187,6 +187,26 @@ def test_homogenized_ideal_routes():
     assert hid3.sig.homog == "h11"
 
 
+def test_homogenized_ideal_rejects_lifts_it_cannot_honour():
+    # a poly ring lifts by alpha only, a Weyl ring by h11 or double and
+    # never with alpha weights
+    psig = RingSignature(2, "poly")
+    P = Ideal(psig, [V(psig, 0) + C(psig, 1)])
+    assert homogenized_ideal(P, mode="alpha").sig.homog == "alpha"
+    for mode in ("h11", "double", "h01", "bogus"):
+        with pytest.raises(ValueError):
+            homogenized_ideal(P, mode=mode)
+    wsig = RingSignature(1, "weyl")
+    W = Ideal(wsig, [V(wsig, 0) * V(wsig, 1) + C(wsig, 1)])
+    assert homogenized_ideal(W, mode="double").sig.homog == "double"
+    for mode in ("alpha", "h01", "bogus"):
+        with pytest.raises(ValueError):
+            homogenized_ideal(W, mode=mode)
+    for mode in (None, "h11", "double"):
+        with pytest.raises(ValueError):
+            homogenized_ideal(W, mode=mode, alpha=(1,))
+
+
 def test_generator_lift_is_not_h_saturated():
     # J = <H(f_1), H(f_2)> for n=2: three of the five elements of its
     # reduced basis with h last are divisible by h, so J != J : h^inf

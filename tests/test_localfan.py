@@ -5,10 +5,12 @@ import random
 
 from grobfan.rational import QQ
 from grobfan.rings import RingSignature, Element, homogenize
-from grobfan.groebner import Ideal, homogenized_ideal
+from grobfan.groebner import (Ideal, homogenized_ideal, dehomogenized_basis,
+                              local_standard_basis)
 from grobfan.polyhedra import validate_fan
 from grobfan.fans import (WeightSubspace, full_subspace, region_cone,
                           enumerate_cones, groebner_cone)
+from grobfan import localfan
 from grobfan.localfan import (stratum_of, allowed_block,
                               local_initials_equal, merge_classes,
                               assemble_local_fan, translate_base_point)
@@ -203,3 +205,46 @@ def test_refinement_each_cone_in_one_class():
             assert m.key() not in assignment
             assignment[m.key()] = ci
     assert len(assignment) == len(cones)
+
+
+# --- gluing reuses the enumeration's bases -------------------------------
+
+def _reuse_cases():
+    sig = RingSignature(2, "poly")
+    x, y = V(sig, 0), V(sig, 1)
+    yield Ideal(sig, [x * x * x - y * y]), full_subspace(sig, "uloc")
+    rng = random.Random(5)
+    for _ in range(4):
+        I = _random_ideal(rng, rng.choice([1, 2, 2, 3]))
+        yield I, full_subspace(I.sig, "uloc")
+    wsig = RingSignature(1, "weyl")
+    xd = V(wsig, 0) * V(wsig, 1)
+    yield Ideal(wsig, [xd + C(wsig, 2)]), full_subspace(wsig, "wloc")
+
+
+def test_enumerated_bases_are_local_standard_bases():
+    # merge_classes glues from each cone's dehomogenized reduced basis; it
+    # must be the local standard basis recomputed at the cone's witness, on
+    # every face of the region
+    checked = 0
+    for I, S in _reuse_cases():
+        hid = homogenized_ideal(I)
+        for face in S.region.faces():
+            Sf = S.restrict(face)
+            for gc in enumerate_cones(hid, Sf):
+                w = Sf.to_ambient(gc.witness)
+                assert (dehomogenized_basis(gc.basis)
+                        == local_standard_basis(I, w)), (I.generators, w)
+                checked += 1
+    assert checked >= 20
+
+
+def test_gluing_computes_no_standard_basis(monkeypatch):
+    def recompute(*args, **kwargs):
+        raise AssertionError("local standard basis recomputed")
+    monkeypatch.setattr(localfan, "local_standard_basis", recompute)
+    sig = RingSignature(2, "poly")
+    x, y = V(sig, 0), V(sig, 1)
+    I = Ideal(sig, [y - 3 * x, C(sig, 2) * x - x * x * x - y * y * y * y])
+    lf = assemble_local_fan(I, full_subspace(sig, "uloc"))
+    assert any(len(cl.members) > 1 for cl in lf.classes)
