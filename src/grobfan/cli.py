@@ -35,6 +35,9 @@ MODES = ("global-fan", "local-fan", "normal-fan", "compare-initials",
          "check-fan")
 REGIONS = ("uloc", "upos", "uglob", "wloc", "wglob")
 HOMOGENIZATIONS = ("alpha", "h01", "h11", "double", "auto")
+# largest exponent `^k` the parser expands; higher powers are rejected
+# before any multiplication
+MAX_EXPONENT = 100
 
 
 class ParseError(Exception):
@@ -186,6 +189,9 @@ class _ExprParser:
                 raise ParseError("exponent must be a nonnegative integer",
                                  t[2], t[3])
             k = int(ts.next()[1])
+            if k > MAX_EXPONENT:
+                raise ParseError("exponent %d exceeds the cap of %d"
+                                 % (k, MAX_EXPONENT), t[2], t[3])
             out = Element.constant(self.sig, 1)
             for _ in range(k):
                 out = out * base
@@ -401,6 +407,20 @@ def _provenance(text):
     }
 
 
+def _incidence(cones):
+    """Facet-of pairs [i, j], sorted: cone j is a facet of cone i, for
+    cones listed in id order."""
+    key_to_id = {c.key(): i for i, c in enumerate(cones)}
+    pairs = []
+    for i, c in enumerate(cones):
+        for f in c.facet_covectors():
+            j = key_to_id.get(c.intersect(HCone(c.ambient, [], [f])).key())
+            if j is not None:
+                pairs.append([i, j])
+    pairs.sort()
+    return pairs
+
+
 def _fan_document(mode, S, cones, annotations, classes, text):
     """Canonical document: cones sorted by (dim desc, facets lex) with ids,
     facet-of incidence pairs, and per-cone annotations keyed by cone key."""
@@ -413,18 +433,8 @@ def _fan_document(mode, S, cones, annotations, classes, text):
         records.append((c, rec))
     records.sort(key=lambda cr: (-cr[1]["dim"], cr[1]["facets"],
                                  cr[1]["equations"]))
-    key_to_id = {}
     for i, (c, rec) in enumerate(records):
         rec["id"] = i
-        key_to_id[c.key()] = i
-    incidence = []
-    for i, (c, rec) in enumerate(records):
-        for f in c.facet_covectors():
-            face = c.intersect(HCone(c.ambient, [], [f]))
-            j = key_to_id.get(face.key())
-            if j is not None:
-                incidence.append([i, j])
-    incidence.sort()
     doc = {
         "format": "grobfan-fan",
         "mode": mode,
@@ -432,7 +442,7 @@ def _fan_document(mode, S, cones, annotations, classes, text):
         "parameter_dim": S.dim,
         "subspace_rows": [[qstr(x) for x in r] for r in S.rows],
         "cones": [rec for _, rec in records],
-        "incidence": incidence,
+        "incidence": _incidence([c for c, _ in records]),
         "provenance": _provenance(text),
     }
     if classes is not None:
@@ -548,16 +558,37 @@ def emit(doc, fmt="json"):
 
 
 def check_fan_document(doc):
-    """Rebuild the cones of a fan document and revalidate the axioms."""
+    """Rebuild the cones of a fan document from their rays, check that the
+    recorded cone data and incidence agree with the rebuilt cones, and
+    revalidate the fan axioms.  Returns (ok, list of problem strings)."""
     try:
         ambient = doc["parameter_dim"]
         cones = []
         for rec in doc["cones"]:
             cones.append(cone_from_rays(ambient, rec["rays"],
                                         rec["lineality"]))
+        recorded = list(doc["incidence"])
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError("malformed fan document: %s" % e)
-    return validate_fan(cones)
+    if not cones:
+        return False, ["document has no cones"]
+    problems = []
+    for i, (c, rec) in enumerate(zip(cones, doc["cones"])):
+        expected = dict(_cone_record(c), id=i)
+        for field, value in expected.items():
+            if rec.get(field) != value:
+                problems.append("cone %d: recorded %s %r, rebuilt %r"
+                                % (i, field, rec.get(field), value))
+    incidence = _incidence(cones)
+    if recorded != incidence:
+        extra = [p for p in recorded if p not in incidence]
+        missing = [p for p in incidence if p not in recorded]
+        problems.append("incidence: recorded pairs %r are not facet pairs, "
+                        "facet pairs %r are not recorded (or out of order)"
+                        % (extra, missing))
+    ok, fan_problems = validate_fan(cones)
+    problems.extend(fan_problems)
+    return (not problems), problems
 
 
 # --- entry point ---------------------------------------------------------

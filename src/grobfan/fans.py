@@ -203,9 +203,22 @@ def flip(gc, facet, hideal, S, check=False):
     raise RuntimeError("flip failed to settle after shrinking perturbations")
 
 
+def _found_across(gc, face, found):
+    """Whether a found cone meets gc in exactly the facet face.  The fan has
+    one maximal cone across each interior facet, so flipping there would
+    only find that cone again."""
+    p = face.relint_point()
+    key = face.key()
+    return any(c is not gc and c.cone.contains(p)
+               and gc.cone.intersect(c.cone).key() == key
+               for c in found)
+
+
 def enumerate_cones(hideal, S, check=False):
     """All maximal Groebner cones of the homogenized ideal restricted to the
-    subspace, by breadth-first facet flipping from a generic start."""
+    subspace, by breadth-first facet flipping from a generic start.  Each
+    interior facet is flipped from one side only: a facet whose far side
+    is already found is skipped, so every flip finds a new cone."""
     rdim = S.region.dim
     start = None
     for y in _candidate_points(S):
@@ -221,6 +234,9 @@ def enumerate_cones(hideal, S, check=False):
         gc = queue.pop(0)
         for facet in gc.cone.facet_covectors():
             if facet_on_border(gc.cone, facet, S):
+                continue
+            face = gc.cone.intersect(HCone(S.dim, [], [facet]))
+            if _found_across(gc, face, found.values()):
                 continue
             nb = flip(gc, facet, hideal, S, check=check)
             if nb.key() not in found:

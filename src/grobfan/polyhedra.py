@@ -254,18 +254,21 @@ def validate_fan(cones):
     """Check the two fan axioms plus disjointness of maximal relative
     interiors.  Returns (ok, list of violation strings)."""
     problems = []
-    keys = {c.key() for c in cones}
     uniq = {}
     for c in cones:
         uniq.setdefault(c.key(), c)
     cones = list(uniq.values())
+    face_keys = {}  # faces of each cone, computed once
     for c in cones:
+        fk = face_keys[c.key()] = set()
         for f in c.faces():
-            if f.key() not in keys:
+            fk.add(f.key())
+            if f.key() not in uniq:
                 problems.append("missing face %r of %r" % (f, c))
     for a, b in combinations(cones, 2):
         cap = a.intersect(b)
-        if not cap.is_face_of(a) or not cap.is_face_of(b):
+        if (cap.key() not in face_keys[a.key()]
+                or cap.key() not in face_keys[b.key()]):
             problems.append("intersection of %r and %r is not a common face"
                             % (a, b))
         elif cap.dim == a.dim == b.dim and a.key() != b.key():

@@ -1,7 +1,9 @@
 """Shared builders for the test suite."""
 
+import pytest
 from hypothesis import strategies as st
 
+from grobfan import fans
 from grobfan.rational import QQ
 from grobfan.rings import RingSignature, Element
 from grobfan.groebner import Ideal
@@ -54,3 +56,17 @@ def hypergeometric_ideal(n):
 def weights(dim, lo=-6, hi=6):
     return st.tuples(*([st.integers(min_value=lo, max_value=hi)] * dim)) \
         .map(lambda w: tuple(QQ(x) for x in w))
+
+
+@pytest.fixture
+def flip_calls(monkeypatch):
+    """The facets fans.flip is called on, appended as enumeration runs."""
+    calls = []
+    flip = fans.flip
+
+    def counting(gc, facet, *args, **kwargs):
+        calls.append(facet)
+        return flip(gc, facet, *args, **kwargs)
+
+    monkeypatch.setattr(fans, "flip", counting)
+    return calls

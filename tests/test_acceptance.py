@@ -301,7 +301,7 @@ def _generic_weights(S, count, seed):
     return out
 
 
-def test_hypergeometric_maximal_cone_counts():
+def test_hypergeometric_maximal_cone_counts(flip_calls):
     t0 = time.monotonic()
     I1 = _hypergeometric_ideal(1)
     c1 = enumerate_cones(homogenized_ideal(I1, mode="h11"),
@@ -311,8 +311,10 @@ def test_hypergeometric_maximal_cone_counts():
     I2 = _hypergeometric_ideal(2)
     J = homogenized_ideal(I2, mode="h11")
     S = full_subspace(I2.sig, "wglob")
+    del flip_calls[:]
     c2 = enumerate_cones(J, S)
     t2 = time.monotonic() - t0
+    n2_flips = len(flip_calls)
     # J = <H(f_1), H(f_2)> is the generator lift, not H(I) = J : h^inf
     Jsat = saturate_h(J)
     c2sat = enumerate_cones(Jsat, S)
@@ -333,6 +335,8 @@ def test_hypergeometric_maximal_cone_counts():
     # J over wloc (36 cones) and the double lift over wglob (40 cones).
     samples = _generic_weights(S, 51, 7)
     assert len(c2) == 40, "expected 40 maximal cones, found %d" % len(c2)
+    # one flip per pair of adjacent cones, each finding a new cone
+    assert n2_flips == 39
     _assert_cones_tile_region(J, c2, S, samples)
     # the h-saturated object H(I) has a coarser fan
     assert len(c2sat) == 30

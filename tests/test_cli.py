@@ -4,12 +4,13 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from grobfan.rational import QQ
 from grobfan.cli import (parse_problem, ParseError, run, emit,
-                         check_fan_document, main)
+                         check_fan_document, main, MAX_EXPONENT)
 
 CUSP = "ring poly(x,y);\nideal: x^3 - y^2;\nmode: local-fan;\n"
 
@@ -109,12 +110,13 @@ def test_emit_summary_counts():
 
 
 def test_check_fan_round_trip():
-    doc = run(parse_problem(CUSP), text=CUSP)
-    blob = emit(doc, "json")
-    loaded = json.loads(blob)
-    ok, problems = check_fan_document(loaded)
-    assert ok, problems
-    assert emit(loaded, "json") == blob
+    for text in (CUSP, BS):
+        blob = emit(run(parse_problem(text), text=text), "json")
+        loaded = json.loads(blob)
+        ok, problems = check_fan_document(loaded)
+        assert ok, problems
+        assert emit(loaded, "json") == blob
+        assert run_cli(["--mode", "check-fan"], blob.decode()) == (0, blob)
 
 
 def test_check_fan_detects_broken_fan():
@@ -246,3 +248,74 @@ def test_cli_lifts_the_run_uses():
 def test_problem_file_cannot_ask_for_check_fan():
     code, out = run_cli([], CUSP.replace("local-fan", "check-fan"))
     assert (code, out) == (2, b"")
+
+
+def _cusp_document():
+    return json.loads(emit(run(parse_problem(CUSP), text=CUSP), "json"))
+
+
+def test_check_fan_rejects_contradicting_records(capsys):
+    # each corruption contradicts the cones' own rays: exit 4, naming the
+    # cone id and the field
+    def facets(doc):
+        doc["cones"][0]["facets"] = [[9, 9]]
+
+    def dim(doc):
+        doc["cones"][0]["dim"] = 7
+
+    def rays(doc):
+        doc["cones"][1]["rays"] = [[-2, -3], [0, -1], [-1, 0]]
+
+    def equations(doc):
+        doc["cones"][2]["equations"] = []
+
+    def lineality(doc):
+        doc["cones"][0]["lineality"] = [[1, 1]]
+
+    def ident(doc):
+        doc["cones"][3]["id"] = 0
+
+    def incidence(doc):
+        doc["incidence"] = [[0, 0]] + doc["incidence"]
+
+    def every_cone(doc):
+        for c in doc["cones"]:
+            c["facets"], c["dim"] = [[9, 9]], 7
+        doc["incidence"] = [[0, 0]]
+
+    cases = [(facets, "cone 0: recorded facets"),
+             (dim, "cone 0: recorded dim"), (rays, "cone 1:"),
+             (equations, "cone 2: recorded equations"),
+             (lineality, "cone 0:"), (ident, "cone 3: recorded id"),
+             (incidence, "incidence: recorded pairs [[0, 0]]"),
+             (every_cone, "cone 0: recorded dim 7")]
+    for corrupt, message in cases:
+        doc = _cusp_document()
+        corrupt(doc)
+        ok, problems = check_fan_document(doc)
+        assert not ok and problems[0].startswith(message), (message, problems)
+        capsys.readouterr()
+        code, out = run_cli(["--mode", "check-fan"], json.dumps(doc))
+        assert (code, out) == (4, b"")
+        assert message in capsys.readouterr().err
+
+
+def test_check_fan_rejects_an_empty_fan():
+    doc = _cusp_document()
+    doc["cones"], doc["incidence"] = [], []
+    assert check_fan_document(doc) == (False, ["document has no cones"])
+    assert run_cli(["--mode", "check-fan"], json.dumps(doc)) == (4, b"")
+
+
+def test_parse_rejects_an_exponent_above_the_cap(capsys):
+    code, _ = run_cli([], "ring poly(x);\nideal: x^%d;\nmode: local-fan;\n"
+                      % MAX_EXPONENT)
+    assert code == 0
+    capsys.readouterr()
+    t0 = time.monotonic()
+    code, out = run_cli([], "ring poly(x);\nideal: x^99999999;\n"
+                            "mode: local-fan;\n")
+    assert time.monotonic() - t0 < 1.0
+    assert (code, out) == (2, b"")
+    err = capsys.readouterr().err
+    assert "line 2, column 10" in err and str(MAX_EXPONENT) in err

@@ -10,6 +10,9 @@ from grobfan.fans import (WeightSubspace, full_subspace, region_cone,
                           groebner_cone, enumerate_cones,
                           assemble_closed_fan, facet_on_border, flip)
 
+from conftest import hypergeometric_ideal
+from test_localfan import _random_ideal
+
 
 def V(sig, i):
     return Element.variable(sig, i)
@@ -147,3 +150,26 @@ def test_differential_global_fan_h11():
     ok, problems = validate_fan(fan)
     assert ok, problems
     assert all(gc.cone.dim == 2 for gc in cones)
+
+
+def test_each_flip_finds_a_new_cone(flip_calls):
+    # one flip per pair of adjacent maximal cones: every cone but the
+    # starting one is found by exactly one flip, and no flip is wasted
+    I1 = hypergeometric_ideal(1)
+    cases = [(cusp_hideal(), full_subspace(RingSignature(2, "poly"), "uloc")),
+             (homogenized_ideal(I1, mode="h11"),
+              full_subspace(I1.sig, "wglob"))]
+    rng = random.Random(5)  # the first 16 ideals include fans of 2 to 5 cones
+    for _ in range(16):
+        I = _random_ideal(rng, rng.choice([1, 2, 2, 3]))
+        S = full_subspace(I.sig, "uloc")
+        # every stratum the local fan enumerates
+        cases += [(homogenized_ideal(I), S.restrict(face))
+                  for face in S.region.faces()]
+    sizes = []
+    for hid, S in cases:
+        del flip_calls[:]
+        cones = enumerate_cones(hid, S)
+        assert len(flip_calls) == len(cones) - 1
+        sizes.append(len(cones))
+    assert max(sizes) >= 5 and sum(n > 1 for n in sizes) >= 10

@@ -107,6 +107,23 @@ def test_validate_fan_rejects_missing_face():
     assert not ok and any("missing face" in p for p in problems)
 
 
+def test_validate_fan_computes_faces_once_per_cone(monkeypatch):
+    fan = normal_fan(newton_polyhedron(_cusp()),
+                     HCone(2, [(-1, 0), (0, -1)]))
+    calls = []
+    faces = HCone.faces
+
+    def counting(self):
+        calls.append(self.key())
+        return faces(self)
+
+    monkeypatch.setattr(HCone, "faces", counting)
+    # a repeated cone is one cone of the fan
+    ok, problems = validate_fan(fan + fan[:2])
+    assert ok, problems
+    assert sorted(calls) == sorted(c.key() for c in fan)
+
+
 def test_cone_from_rays_round_trip_simple():
     c = cone_from_rays(2, [(2, 3), (0, 1)])
     assert c.dim == 2
