@@ -19,6 +19,7 @@ import argparse
 import hashlib
 import json
 import sys
+from math import prod
 
 from . import __version__
 from .rational import QQ, qstr
@@ -38,6 +39,9 @@ HOMOGENIZATIONS = ("alpha", "h01", "h11", "double", "auto")
 # largest exponent `^k` the parser expands; higher powers are rejected
 # before any multiplication
 MAX_EXPONENT = 100
+# most terms one product in the parser may produce before like terms
+# combine; a larger product is rejected before it is multiplied out
+MAX_TERMS = 10000
 
 
 class ParseError(Exception):
@@ -139,6 +143,22 @@ def _dashed_name(ts):
 
 # --- expression parsing --------------------------------------------------
 
+def _multiply(a, b, t):
+    """a * b, or a ParseError at token t if the product can produce more
+    than MAX_TERMS terms before like terms combine: one per pair of terms,
+    and for a Weyl pair prod(min(b_i, c_i) + 1), with b the d-exponents of
+    the left term and c the x-exponents of the right."""
+    size = len(a.terms) * len(b.terms)
+    if a.sig.has_d and size <= MAX_TERMS:
+        n = a.sig.n
+        size = sum(prod(min(x, y) + 1 for x, y in zip(e1[n:2 * n], e2[:n]))
+                   for e1 in a.terms for e2 in b.terms)
+    if size > MAX_TERMS:
+        raise ParseError("product can produce more than %d terms (the cap)"
+                         % MAX_TERMS, t[2], t[3])
+    return a * b
+
+
 class _ExprParser:
     def __init__(self, ts, sig):
         self.ts = ts
@@ -170,11 +190,10 @@ class _ExprParser:
             k = ts.peek()[0]
             if k == "*":
                 ts.next()
-                out = out * self.factor()
-            elif k in ("name", "num", "("):
-                out = out * self.factor()
-            else:
+            elif k not in ("name", "num", "("):
                 return out
+            t = ts.peek()
+            out = _multiply(out, self.factor(), t)
 
     def factor(self):
         ts = self.ts
@@ -194,7 +213,7 @@ class _ExprParser:
                                  % (k, MAX_EXPONENT), t[2], t[3])
             out = Element.constant(self.sig, 1)
             for _ in range(k):
-                out = out * base
+                out = _multiply(out, base, t)
             return out
         return base
 
@@ -414,7 +433,7 @@ def _incidence(cones):
     pairs = []
     for i, c in enumerate(cones):
         for f in c.facet_covectors():
-            j = key_to_id.get(c.intersect(HCone(c.ambient, [], [f])).key())
+            j = key_to_id.get(c.facet_face(f).key())
             if j is not None:
                 pairs.append([i, j])
     pairs.sort()

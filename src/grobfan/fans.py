@@ -172,7 +172,7 @@ def _projected_direction(covector, eq_rows):
 def facet_on_border(cone, facet, S):
     """True iff the facet lies inside a supporting hyperplane of the region
     that does not contain the whole cone."""
-    face = cone.intersect(HCone(S.dim, [], [facet]))
+    face = cone.facet_face(facet)
     gens = face.lineality() + face.rays()
     cgens = cone.lineality() + cone.rays()
     for r in S.region.facet_covectors():
@@ -185,7 +185,7 @@ def facet_on_border(cone, facet, S):
 def flip(gc, facet, hideal, S, check=False):
     """Cross a facet of a maximal cone to the adjacent maximal cone, using
     exact shrinking perturbations of a relative-interior facet point."""
-    face = gc.cone.intersect(HCone(S.dim, [], [facet]))
+    face = gc.cone.facet_face(facet)
     p = face.relint_point()
     d = _projected_direction(facet, gc.cone.equation_basis())
     if is_zero_vec(d):
@@ -235,7 +235,7 @@ def enumerate_cones(hideal, S, check=False):
         for facet in gc.cone.facet_covectors():
             if facet_on_border(gc.cone, facet, S):
                 continue
-            face = gc.cone.intersect(HCone(S.dim, [], [facet]))
+            face = gc.cone.facet_face(facet)
             if _found_across(gc, face, found.values()):
                 continue
             nb = flip(gc, facet, hideal, S, check=check)

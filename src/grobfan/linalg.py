@@ -16,18 +16,6 @@ def vdot(a, b):
     return s
 
 
-def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vscale(c, a):
-    return tuple(c * x for x in a)
-
-
 def is_zero_vec(a):
     return all(x == 0 for x in a)
 
@@ -122,7 +110,3 @@ def reduce_mod_rowspace(vec, red_rows, pivots):
             f = out[pc]
             out = [x - f * y for x, y in zip(out, row)]
     return tuple(out)
-
-
-def in_rowspace(vec, red_rows, pivots):
-    return is_zero_vec(reduce_mod_rowspace(vec, red_rows, pivots))

@@ -8,8 +8,8 @@ from .orders import local_order
 from .division import mora_divide
 from .groebner import (Ideal, local_standard_basis, homogenized_ideal,
                        dehomogenized_basis)
-from .polyhedra import (HCone, cone_from_rays, validate_fan,
-                        FanValidationError, assemble_closed_fan)
+from .polyhedra import (cone_from_rays, validate_fan, FanValidationError,
+                        assemble_closed_fan)
 from .fans import enumerate_cones
 
 
@@ -91,7 +91,7 @@ def _glue(members, pdim):
     hull_eqs = hull.equation_basis()
     for gc in members:
         for f in gc.cone.facet_covectors():
-            face = gc.cone.intersect(HCone(pdim, [], [f]))
+            face = gc.cone.facet_face(f)
             gens = face.rays() + face.lineality()
             on_hull = any(all(vdot(h, g) == 0 for g in gens)
                           for h in list(hull_facets) + list(hull_eqs))

@@ -6,8 +6,6 @@ Classification flags (well order / local / admissible / degree-first block
 order) are derived by probing unit vectors.
 """
 
-from .rational import QQ
-
 
 def _revlex(a, b):
     """Graded revlex: larger total degree wins; on ties the last nonzero
@@ -59,9 +57,6 @@ class MatrixOrder:
             if self.compare(e, best) > 0:
                 best = e
         return best
-
-    def refine_by_weight(self, w_row):
-        return MatrixOrder(self.nslots, [tuple(w_row)] + self.rows)
 
     # --- classification ---------------------------------------------
     def _unit(self, i):
@@ -170,9 +165,3 @@ def leading_data(p, order):
         raise ValueError("leading data of zero")
     e = order.max(p.terms)
     return e, p.terms[e]
-
-
-def leading_monomial(p, order):
-    from .rings import Element
-    e, c = leading_data(p, order)
-    return Element(p.sig, {e: QQ(c)})

@@ -3,7 +3,9 @@
 Cones are stored in H-form (integer covectors; inequalities mean c.x >= 0).
 Canonicalization runs a double description pass to obtain generators, from
 which dimension, lineality, implicit equalities and irredundant facets are
-derived; two cones are equal iff their canonical forms coincide.
+derived; two cones are equal iff their canonical forms coincide.  Faces are
+built from those generators, not by further passes: the face on a facet
+keeps the lines and the rays the facet covector vanishes on.
 """
 
 from itertools import combinations
@@ -90,7 +92,7 @@ class FanValidationError(RuntimeError):
 class HCone:
     """A rational polyhedral cone {x : eqs.x = 0, ineqs.x >= 0}."""
 
-    __slots__ = ("ambient", "ineqs", "eqs", "_canon")
+    __slots__ = ("ambient", "ineqs", "eqs", "_canon", "_facet_faces")
 
     def __init__(self, ambient, ineqs=(), eqs=()):
         self.ambient = ambient
@@ -113,12 +115,17 @@ class HCone:
                 seen.add(c)
                 self.eqs.append(c)
         self._canon = None
+        self._facet_faces = {}
 
     # --- canonical data ---------------------------------------------
     def _canonicalize(self):
-        if self._canon is not None:
-            return self._canon
-        lines, rays = _dd_generators(self.ambient, self.eqs, self.ineqs)
+        if self._canon is None:
+            self._canon = self._derive(
+                *_dd_generators(self.ambient, self.eqs, self.ineqs))
+        return self._canon
+
+    def _derive(self, lines, rays):
+        """Canonical data from the cone's generators and its H-form."""
         gens = lines + rays
         dim = rank(gens) if gens else 0
         # implicit equalities: inequalities tight on every generator
@@ -143,14 +150,13 @@ class HCone:
                     seen.add(key)
                     facets.append(key)
         facets.sort()
-        self._canon = {
+        return {
             "dim": dim,
             "lines": sorted(lines),
             "rays": sorted(rays),
             "eqs": eq_basis,
             "facets": facets,
         }
-        return self._canon
 
     @property
     def dim(self):
@@ -206,20 +212,35 @@ class HCone:
         return HCone(self.ambient, self.ineqs + other.ineqs,
                      self.eqs + other.eqs)
 
-    def faces(self):
-        """All faces (including the cone itself), via facet subsets."""
-        c = self._canonicalize()
-        out = {}
-        fl = c["facets"]
-        for k in range(len(fl) + 1):
-            for sub in combinations(fl, k):
-                f = HCone(self.ambient, self.ineqs + list(fl),
-                          self.eqs + list(sub))
-                out.setdefault(f.key(), f)
-        return list(out.values())
+    def facet_face(self, f):
+        """The face {f = 0} for a facet covector f of the cone, memoised.
+        A face is determined by the extreme rays it contains, and double
+        description gives the same lines and ray representatives for every
+        H-form of a cone: the face keeps the cone's lines and the rays f
+        vanishes on, and no pass runs."""
+        face = self._facet_faces.get(f)
+        if face is None:
+            c = self._canonicalize()
+            if f not in c["facets"]:
+                raise ValueError("%r is not a facet covector of %r"
+                                 % (f, self))
+            face = HCone(self.ambient, c["facets"], c["eqs"] + [f])
+            face._canon = face._derive(
+                c["lines"], [r for r in c["rays"] if vdot(f, r) == 0])
+            self._facet_faces[f] = face
+        return face
 
-    def is_face_of(self, other):
-        return self.key() in {f.key() for f in other.faces()}
+    def faces(self):
+        """All faces (including the cone itself), walking down the facet
+        lattice breadth first: every face of a face is a face."""
+        out = {self.key(): self}
+        todo = [self]
+        for c in todo:
+            for f in c.facet_covectors():
+                face = c.facet_face(f)
+                if out.setdefault(face.key(), face) is face:
+                    todo.append(face)
+        return list(out.values())
 
     def __repr__(self):
         c = self._canonicalize()

@@ -10,9 +10,6 @@ try:
 except ImportError:  # pragma: no cover
     from fractions import Fraction as QQ
 
-ZERO = QQ(0)
-ONE = QQ(1)
-
 
 def qstr(q):
     """Render a rational as 'p' or 'p/q'."""
@@ -20,11 +17,3 @@ def qstr(q):
     if q.denominator == 1:
         return str(q.numerator)
     return "%s/%s" % (q.numerator, q.denominator)
-
-
-def parse_rational(text):
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/")
-        return QQ(int(num), int(den))
-    return QQ(int(text))

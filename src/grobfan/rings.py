@@ -266,9 +266,6 @@ class Element:
     __rmul__ = scale
 
     # --- degrees and weights ----------------------------------------
-    def total_degrees(self):
-        return [sum(e) for e in self.terms]
-
     def deg01(self, exp):
         """|d-block| + h exponent (the grading used by the h01 lift)."""
         sig = self.sig

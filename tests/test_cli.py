@@ -10,7 +10,7 @@ import pytest
 
 from grobfan.rational import QQ
 from grobfan.cli import (parse_problem, ParseError, run, emit,
-                         check_fan_document, main, MAX_EXPONENT)
+                         check_fan_document, main, MAX_EXPONENT, MAX_TERMS)
 
 CUSP = "ring poly(x,y);\nideal: x^3 - y^2;\nmode: local-fan;\n"
 
@@ -319,3 +319,20 @@ def test_parse_rejects_an_exponent_above_the_cap(capsys):
     assert (code, out) == (2, b"")
     err = capsys.readouterr().err
     assert "line 2, column 10" in err and str(MAX_EXPONENT) in err
+
+
+@pytest.mark.parametrize("text, where", [
+    # expands to 12,341 terms, one capped power at a time
+    ("ring poly(x,y,z);\nideal: (1+x+y+z)^40;\nmode: local-fan;\n",
+     "line 2, column 18"),
+    # normally ordered, these powers would expand to 1,030,301 terms
+    ("ring weyl(a,b,c); ideal: da^100*db^100*dc^100*a^100*b^100*c^100;",
+     "line 1, column 53"),
+], ids=["power", "weyl-product"])
+def test_parse_rejects_a_product_above_the_term_cap(capsys, text, where):
+    t0 = time.monotonic()
+    code, out = run_cli([], text)
+    assert time.monotonic() - t0 < 1.0
+    assert (code, out) == (2, b"")
+    err = capsys.readouterr().err
+    assert where in err and str(MAX_TERMS) in err

@@ -141,9 +141,3 @@ def test_leading_exponents_multiplicative_commutative(f, g, w):
     eg, _ = leading_data(g, o)
     efg, _ = leading_data(f * g, o)
     assert efg == tuple(a + b for a, b in zip(ef, eg))
-
-
-def test_refine_by_weight_prepends():
-    o = degrevlex(2)
-    r = o.refine_by_weight((QQ(1), QQ(0)))
-    assert r.greater((1, 0), (0, 5))

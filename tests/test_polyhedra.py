@@ -2,13 +2,16 @@
 normal cones, and Minkowski sums."""
 
 import random
+from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grobfan.rational import QQ
 from grobfan.linalg import vdot, primitive
 from grobfan.rings import RingSignature, Element
+from grobfan import polyhedra
 from grobfan.polyhedra import (HCone, cone_from_rays, validate_fan,
                                RationalPolyhedron, newton_polyhedron,
                                face_of, normal_cone, minkowski_sum,
@@ -77,10 +80,81 @@ def test_faces_of_quadrant():
 
 def test_face_relation():
     c = HCone(2, [(1, 0), (0, 1)])
-    ray = HCone(2, [(0, 1)], [(1, 0)])
-    assert ray.is_face_of(c)
-    other = HCone(2, [(1, 1)], [(1, -1)])
-    assert not other.is_face_of(c)
+    face_keys = {f.key() for f in c.faces()}
+    assert HCone(2, [(0, 1)], [(1, 0)]).key() in face_keys
+    assert HCone(2, [(1, 1)], [(1, -1)]).key() not in face_keys
+
+
+def _random_cone(rng, trial):
+    """A seeded random H-cone in dimension 2 to 4: every second one has
+    equations, every third is a few half-spaces (so usually not pointed)."""
+    a = rng.choice([2, 3, 4])
+    def cov(r):
+        return tuple(rng.randint(-r, r) for _ in range(a))
+    nineqs = rng.randint(1, 2) if trial % 3 == 0 else rng.randint(3, 6)
+    eqs = [cov(1)] if trial % 2 else []
+    return HCone(a, [cov(3) for _ in range(nineqs)], eqs)
+
+
+def _oracle_faces(c):
+    """Faces of c by the facet-subset enumeration: one double description
+    per subset of facets set to equations."""
+    fl = c.facet_covectors()
+    out = {}
+    for k in range(len(fl) + 1):
+        for sub in combinations(fl, k):
+            f = HCone(c.ambient, c.ineqs + fl, c.eqs + list(sub))
+            out.setdefault(f.key(), f)
+    return out
+
+
+def _shape(c):
+    return c.key(), c.rays(), c.lineality()
+
+
+def test_facet_face_and_faces_match_double_description():
+    rng = random.Random(11)
+    lineal = with_eqs = 0
+    for trial in range(150):
+        c = _random_cone(rng, trial)
+        lineal += bool(c.lineality())
+        with_eqs += bool(c.equation_basis())
+        fl = c.facet_covectors()
+        for f in fl:
+            oracle = HCone(c.ambient, c.ineqs + fl, c.eqs + [f])
+            assert _shape(c.facet_face(f)) == _shape(oracle)
+        oracle = _oracle_faces(c)
+        faces = {f.key(): f for f in c.faces()}
+        assert set(faces) == set(oracle)
+        for key, f in faces.items():
+            assert _shape(f) == _shape(oracle[key])
+    assert lineal >= 20 and with_eqs >= 20
+
+
+def test_facet_face_rejects_a_non_facet():
+    c = HCone(2, [(1, 0), (0, 1), (1, 1)])
+    assert c.facet_face((1, 0)).dim == 1
+    for f in [(1, 1), (0, 0), (-1, 0)]:
+        with pytest.raises(ValueError):
+            c.facet_face(f)
+
+
+def test_faces_of_a_canonicalized_cone_run_no_double_description(
+        monkeypatch):
+    c = cone_from_rays(4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 1, 0),
+                           (0, 1, 1, 1)], lines=[(1, -1, 1, -1)])
+    c.key()
+    calls = []
+    dd = polyhedra._dd_generators
+
+    def counting(*args):
+        calls.append(args)
+        return dd(*args)
+
+    monkeypatch.setattr(polyhedra, "_dd_generators", counting)
+    faces = c.faces()
+    assert len(faces) > 2 and calls == []
+    assert {f.key() for f in c.faces()} == set(_oracle_faces(c))
 
 
 def test_intersection():
