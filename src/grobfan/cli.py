@@ -35,7 +35,7 @@ from .localfan import (assemble_local_fan, translate_base_point,
 MODES = ("global-fan", "local-fan", "normal-fan", "compare-initials",
          "check-fan")
 REGIONS = ("uloc", "upos", "uglob", "wloc", "wglob")
-HOMOGENIZATIONS = ("alpha", "h01", "h11", "double", "auto")
+HOMOGENIZATIONS = ("alpha", "h11", "double", "auto")
 # largest exponent `^k` the parser expands; higher powers are rejected
 # before any multiplication
 MAX_EXPONENT = 100
@@ -251,18 +251,28 @@ def _rational_token(ts):
     if ts.peek()[0] == "/":
         ts.next()
         den = int(ts.expect("num", "a denominator")[1])
+        if den == 0:
+            raise ParseError("zero denominator", t[2], t[3])
         return QQ(sign * num, den)
     return QQ(sign * num)
 
 
-def _vector(ts):
+def _integer_token(ts):
+    t = ts.peek()
+    q = _rational_token(ts)
+    if q.denominator != 1:
+        raise ParseError("expected an integer, found %s" % q, t[2], t[3])
+    return int(q)
+
+
+def _vector(ts, entry=_rational_token):
     ts.expect("[")
     out = []
     if ts.peek()[0] != "]":
-        out.append(_rational_token(ts))
+        out.append(entry(ts))
         while ts.peek()[0] == ",":
             ts.next()
-            out.append(_rational_token(ts))
+            out.append(entry(ts))
     ts.expect("]")
     return tuple(out)
 
@@ -347,7 +357,7 @@ def parse_problem(text):
                 ts.error("unknown homogenization %r" % h)
             spec.homogenization = h
         elif kw == "alpha":
-            spec.alpha = tuple(int(a) for a in _vector(ts))
+            spec.alpha = _vector(ts, _integer_token)
         else:
             ts.error("unknown statement %r" % kw)
         ts.expect(";")

@@ -107,8 +107,7 @@ def _unit_multiplier(sig, m, allowed_block, order):
         return False
     if _block_monomial(sig, m, allowed_block):
         return True
-    zero = (0,) * sig.nslots
-    return order.compare(m, zero) < 0
+    return order.key(m) < order.key((0,) * sig.nslots)
 
 
 def mora_divide(f, divisors, order, allowed_block, check=False):

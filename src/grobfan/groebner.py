@@ -3,7 +3,7 @@ standard bases of local ideals obtained by dehomogenization."""
 
 from .rational import QQ
 from .rings import Element, POLY, WEYL, homogenize, dehomogenize
-from .orders import leading_data, groebner_order, lift_to_h
+from .orders import leading_data, groebner_order, grading_row, MatrixOrder
 from .division import divide, _divides
 
 
@@ -38,7 +38,8 @@ def _monic(g, order):
 
 
 def interreduce(basis, order, check=False):
-    """Minimal, monic, tail-reduced basis in a deterministic element order."""
+    """The reduced basis of a Groebner basis: minimal, monic and
+    tail-reduced, sorted by leading exponent."""
     work = [g for g in basis if not g.is_zero()]
     lexps = [leading_data(g, order)[0] for g in work]
     keep = []
@@ -48,26 +49,16 @@ def interreduce(basis, order, check=False):
             continue
         keep.append(i)
     work = [work[i] for i in keep]
+    # with minimal leads, the remainder of each element modulo the others
+    # is its lead plus standard monomials: the reduced element of that lead
     out = []
     for i, g in enumerate(work):
-        others = [h for j, h in enumerate(work) if j != i]
+        others = work[:i] + work[i + 1:]
         if others:
-            _, r = divide(g, others, order, check=check)
-            g = r
-        if not g.is_zero():
-            out.append(_monic(g, order))
+            g = divide(g, others, order, check=check)[1]
+        out.append(_monic(g, order))
     out.sort(key=lambda g: leading_data(g, order)[0])
-    # one more tail sweep against the minimal set gives the reduced basis
-    final = []
-    for i, g in enumerate(out):
-        others = out[:i] + out[i + 1:]
-        if others:
-            _, r = divide(g, others, order, check=check)
-            g = _monic(r, order) if not r.is_zero() else r
-        if not g.is_zero():
-            final.append(g)
-    final.sort(key=lambda g: leading_data(g, order)[0])
-    return final
+    return out
 
 
 def buchberger(gens, order, seed=None, check=False):
@@ -184,7 +175,7 @@ def saturation_order(hsig):
     every term, which is what Bayer's saturation needs."""
     fewer_h = tuple(-1 if i == hsig.h_slot else 0
                     for i in range(hsig.nslots))
-    return lift_to_h(hsig, [fewer_h])
+    return MatrixOrder(hsig.nslots, [grading_row(hsig), fewer_h])
 
 
 def saturate_h(ideal):

@@ -222,6 +222,10 @@ def test_cli_rejects_a_lift_the_run_does_not_use(capsys):
     capsys.readouterr()
     code, _ = run_cli(["--homogenization", "h11"], EULER)
     assert code == 2 and "h11" in capsys.readouterr().err
+    # h01 is never a run's lift, so the flag does not offer it
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--homogenization", "h01"], EULER)
+    assert exc.value.code == 1 and "h01" in capsys.readouterr().err
 
 
 def test_cli_lifts_the_run_uses():
@@ -336,3 +340,22 @@ def test_parse_rejects_a_product_above_the_term_cap(capsys, text, where):
     assert (code, out) == (2, b"")
     err = capsys.readouterr().err
     assert where in err and str(MAX_TERMS) in err
+
+
+@pytest.mark.parametrize("argv, stmt, where, message", [
+    ([], "weights: [[1/0],[1]];", "line 4, column 12", "zero denominator"),
+    ([], "base-point: [1/0, 1];", "line 4, column 14", "zero denominator"),
+    ([], "subspace: rows [[1/0, 1]];", "line 4, column 18",
+     "zero denominator"),
+    (["--base-point", "[1, 1/0]"], "", "line 1, column 5", "zero denominator"),
+    ([], "alpha: [3/2, 1];", "line 4, column 9", "expected an integer"),
+    ([], "alpha: [1, -1/2];", "line 4, column 12", "expected an integer"),
+], ids=["weights", "base-point", "subspace", "base-point-flag",
+        "alpha-3/2", "alpha-negative-half"])
+def test_parse_rejects_a_hostile_vector_entry(capsys, argv, stmt, where,
+                                              message):
+    text = CUSP.replace("local-fan", "global-fan") + stmt + "\n"
+    assert run_cli(argv, text) == (2, b"")
+    err = capsys.readouterr().err
+    assert where in err and message in err
+

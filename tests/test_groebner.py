@@ -153,23 +153,64 @@ def test_buchberger_fixpoint_random(g1, g2, w):
     assert membership(g2, basis, order)
 
 
-def test_reduced_basis_tails_irreducible():
+def _random_poly_ideal(rng, n):
+    sig = RingSignature(n, "poly")
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        g = Element.zero(sig)
+        for _ in range(rng.randint(1, 3)):
+            e = tuple(rng.randint(0, 3) for _ in range(n))
+            g = g + Element.monomial(sig, e, QQ(rng.choice([1, -1, 2, -3])))
+        if not g.is_zero():
+            gens.append(g)
+    return Ideal(sig, gens or [V(sig, 0)])
+
+
+def _reduced_basis_inputs():
+    """(generators, order) pairs: a commutative textbook ideal, seeded
+    random commutative ideals, and Weyl ideals under both Weyl lifts with
+    weights of each lift's region (u + v >= 0 for h11, u <= 0 <= u + v for
+    double, the same (u, v) in every variable)."""
     sig = RingSignature(2, "poly", "alpha")
     x, y, h = V(sig, 0), V(sig, 1), V(sig, 2)
-    gens = [x * x - y * h, x * y - h * h, y * y - x * h]
-    order = groebner_order(sig, (1, 1))
-    basis = buchberger(gens, order)
-    lexps = [leading_data(g, order)[0] for g in basis]
-    for k, g in enumerate(basis):
-        # monic
-        assert leading_data(g, order)[1] == 1
-        # minimal: no other lead divides this lead
-        assert not any(j != k and _divides(lexps[j], lexps[k])
-                       for j in range(len(basis)))
-        # tails reduced
-        for e in g.terms:
-            if e != lexps[k]:
-                assert all(not _divides(le, e) for le in lexps)
+    yield ([x * x - y * h, x * y - h * h, y * y - x * h],
+           groebner_order(sig, (1, 1)))
+    rng = random.Random(6)
+    for _ in range(30):
+        n = rng.choice([2, 3])
+        hid = homogenized_ideal(_random_poly_ideal(rng, n))
+        w = tuple(QQ(rng.randint(-3, 3)) for _ in range(n))
+        yield hid.generators, groebner_order(hid.sig, w)
+    wsig = RingSignature(1, "weyl")
+    xd, d = V(wsig, 0) * V(wsig, 1), V(wsig, 1)
+    weyl = [hypergeometric_ideal(1), hypergeometric_ideal(2),
+            Ideal(wsig, [xd + C(wsig, 2), d * d + V(wsig, 0)])]
+    for mode, ws in (("h11", [(0, 0), (1, 1), (-1, 2), (3, -1)]),
+                     ("double", [(0, 0), (-1, 1), (-1, 3), (-2, 2)])):
+        for ideal in weyl:
+            hid = homogenized_ideal(ideal, mode=mode)
+            n = ideal.sig.n
+            for u, v in ws:
+                w = (QQ(u),) * n + (QQ(v),) * n
+                yield hid.generators, groebner_order(hid.sig, w)
+
+
+def test_reduced_basis_tails_irreducible():
+    # interreduce makes one division pass per element; that already gives
+    # the reduced basis, on commutative and on Weyl input
+    for gens, order in _reduced_basis_inputs():
+        basis = buchberger(gens, order)
+        lexps = [leading_data(g, order)[0] for g in basis]
+        for k, g in enumerate(basis):
+            # monic
+            assert leading_data(g, order)[1] == 1
+            # minimal: no other lead divides this lead
+            assert not any(j != k and _divides(lexps[j], lexps[k])
+                           for j in range(len(basis)))
+            # tails reduced
+            for e in g.terms:
+                if e != lexps[k]:
+                    assert all(not _divides(le, e) for le in lexps)
 
 
 # --- homogenized ideals and standard bases -------------------------------

@@ -28,10 +28,54 @@ def wloc_weights_1():
 def test_degrevlex_oracle():
     o = degrevlex(3)
     # higher total degree wins
-    assert o.greater((1, 1, 1), (2, 0, 0))
+    assert o.compare((1, 1, 1), (2, 0, 0)) == 1
     # on equal degree the last nonzero of a-b negative means greater
-    assert o.greater((1, 1, 0), (1, 0, 1))
-    assert o.greater((2, 0, 0), (0, 2, 0))
+    assert o.compare((1, 1, 0), (1, 0, 1)) == 1
+    assert o.compare((2, 0, 0), (0, 2, 0)) == 1
+    assert o.compare((0, 2, 0), (2, 0, 0)) == -1
+    assert o.compare((1, 0, 1), (1, 0, 1)) == 0
+
+
+def _reference_compare(rows, a, b):
+    """The matrix order compared row by row on the rational rows as given,
+    then graded revlex: the definition the sort key must reproduce."""
+    for row in rows:
+        s = sum(w * (x - y) for w, x, y in zip(row, a, b))
+        if s != 0:
+            return 1 if s > 0 else -1
+    if sum(a) != sum(b):
+        return 1 if sum(a) > sum(b) else -1
+    for x, y in zip(reversed(a), reversed(b)):
+        if x != y:
+            return 1 if x < y else -1
+    return 0
+
+
+def _rational_rows(nslots):
+    entry = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    row = st.one_of(st.just((QQ(0),) * nslots),
+                    st.tuples(*([entry] * nslots)))
+    return st.lists(row, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda m: st.tuples(
+    st.just(m), _rational_rows(m),
+    st.lists(st.tuples(*([st.integers(0, 3)] * m)), min_size=2,
+             max_size=6))))
+def test_sort_key_reproduces_row_by_row_comparison(case):
+    m, rows, exps = case
+    o = MatrixOrder(m, rows)
+    for a in exps:
+        for b in exps:
+            assert o.compare(a, b) == _reference_compare(rows, a, b)
+    best = exps[0]
+    for e in exps[1:]:
+        if _reference_compare(rows, e, best) > 0:
+            best = e
+    p = Element(RingSignature(m, "poly"),
+                {e: QQ(k + 1) for k, e in enumerate(exps)})
+    assert leading_data(p, o)[0] == best
 
 
 def test_comparison_is_total_and_antisymmetric():
