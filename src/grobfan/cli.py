@@ -409,8 +409,11 @@ def _lift(spec, mode):
         raise ParseError("homogenization %s is not used by %s on a %s ring "
                          "(it uses %s)" % (h, mode, kind,
                                            " or ".join(lifts) or "none"))
-    if spec.alpha is not None and (kind, mode) != (POLY, "global-fan"):
-        raise ParseError("alpha is used only by global-fan on a poly ring")
+    if spec.alpha is not None:
+        if (kind, mode) != (POLY, "global-fan"):
+            raise ParseError("alpha is used only by global-fan on a poly ring")
+        if len(spec.alpha) != spec.sig.n or min(spec.alpha) <= 0:
+            raise ParseError("alpha must be %d positive integers" % spec.sig.n)
     return next(iter(lifts), None) if h == "auto" else h
 
 
@@ -490,6 +493,8 @@ def run(spec, text="", validate=False, check=False):
     sig = spec.sig
     ideal = Ideal(sig, spec.generators)
     if spec.base_point is not None:
+        if len(spec.base_point) != sig.n:
+            raise ParseError("base-point must have %d entries" % sig.n)
         ideal = translate_base_point(ideal, spec.base_point)
 
     if mode == "compare-initials":

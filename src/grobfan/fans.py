@@ -1,7 +1,12 @@
 """Groebner cones of a homogenized ideal and their enumeration by facet
-flipping, restricted to a linearly parametrized subspace of weights."""
+flipping, restricted to a linearly parametrized subspace of weights.
+The cones form a fan, so a flip across a facet is one completion, under
+the order ranking by a point inside the facet and then by the crossing
+direction; a facet's far side, once found, is looked up by its face's key.
+"""
 
 from copy import copy
+from itertools import count
 
 from .rational import QQ
 from .linalg import vdot, is_zero_vec, nullspace
@@ -13,7 +18,6 @@ _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
            59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113]
 
 START_BUDGET = 64
-FLIP_HALVINGS = 64
 
 
 def region_cone(sig, kind, ambient=None):
@@ -96,35 +100,40 @@ class GroebnerCone:
         return self.cone.key()
 
 
-def groebner_cone(hideal, y, S, seed=None, check=False):
+def groebner_cone(hideal, y, S, seed=None, check=False, d=None):
     """The closed equivalence-class cone of the parameter point y: weights
     whose initial forms of the reduced basis all agree with those at y,
-    intersected with the subspace region."""
+    intersected with the subspace region.  With a direction d it is the
+    cone of y + eps*d for all small eps > 0: the basis is computed under the
+    order ranking by y, then by d, and the witness is the first of y + d,
+    y + d/2, ... inside the cone, at which initials and order are taken."""
     sig = hideal.sig
-    w = S.to_ambient(y)
-    order = groebner_order(sig, w)
+    ws = [S.to_ambient(v) for v in (y, d) if v is not None]
+    order = groebner_order(sig, *ws)
     basis = buchberger(hideal.generators, order, seed=seed, check=check)
-    ws = sig.slot_weight(w)
+    rows = [sig.slot_weight(w) for w in ws]
     wd = sig.weight_dim
+
+    def weight(e):
+        return tuple(sum(wi * ei for wi, ei in zip(r, e)) for r in rows)
+
     eqs, ineqs = [], []
     for g in basis:
-        top = max(sum(wi * ei for wi, ei in zip(ws, e)) for e in g.terms)
+        top = max(map(weight, g.terms))
         e0, _ = leading_data(g, order)
         for a in g.terms:
-            if a == e0:
-                continue
-            cov = tuple(x - y2 for x, y2 in zip(e0[:wd], a[:wd]))
-            pc = S.pullback(cov)
-            if is_zero_vec(pc):
-                continue
-            wt = sum(wi * ei for wi, ei in zip(ws, a))
-            if wt == top:
-                eqs.append(pc)
-            else:
-                ineqs.append(pc)
+            pc = S.pullback(tuple(x - z for x, z in zip(e0[:wd], a[:wd])))
+            if not is_zero_vec(pc):  # the lead itself pulls back to zero
+                (eqs if weight(a) == top else ineqs).append(pc)
     cone = HCone(S.dim, ineqs, eqs).intersect(S.region)
-    initials = initial_ideal(basis, sig, w)
-    return GroebnerCone(cone, tuple(QQ(c) for c in y), basis, initials, order)
+    witness = tuple(QQ(c) for c in y)
+    if d is not None:
+        steps = (tuple(a + QQ(1, 2 ** k) * b for a, b in zip(y, d))
+                 for k in count())
+        witness = next(x for x in steps if cone.strictly_contains(x))
+    w = S.to_ambient(witness)
+    return GroebnerCone(cone, witness, basis, initial_ideal(basis, sig, w),
+                        groebner_order(sig, w))
 
 
 def _span_basis(eq_rows, p):
@@ -170,55 +179,40 @@ def _projected_direction(covector, eq_rows):
 
 
 def facet_on_border(cone, facet, S):
-    """True iff the facet lies inside a supporting hyperplane of the region
-    that does not contain the whole cone."""
-    face = cone.facet_face(facet)
-    gens = face.lineality() + face.rays()
-    cgens = cone.lineality() + cone.rays()
-    for r in S.region.facet_covectors():
-        if all(vdot(r, g) == 0 for g in gens):
-            if any(vdot(r, g) != 0 for g in cgens):
-                return True
-    return False
+    """True iff the facet of a maximal cone lies on a facet of the region.
+    Both covectors are reduced modulo the same equation space, so this is
+    equality."""
+    return facet in S.region.facet_covectors()
+
+
+def facet_keys(cone):
+    """The keys of the cone's facet faces.  Two maximal cones of a fan meet
+    in a facet F exactly when both have F as a facet face."""
+    return [cone.facet_face(f).key() for f in cone.facet_covectors()]
 
 
 def flip(gc, facet, hideal, S, check=False):
-    """Cross a facet of a maximal cone to the adjacent maximal cone, using
-    exact shrinking perturbations of a relative-interior facet point."""
+    """Cross a facet of a maximal cone to the adjacent maximal cone: one
+    completion under the order ranking by a relative-interior point of the
+    facet first and by the crossing direction next."""
     face = gc.cone.facet_face(facet)
-    p = face.relint_point()
     d = _projected_direction(facet, gc.cone.equation_basis())
     if is_zero_vec(d):
         raise RuntimeError("degenerate flip direction")
-    eps = QQ(1)
-    for _ in range(FLIP_HALVINGS):
-        y = tuple(a + eps * b for a, b in zip(p, d))
-        if S.region.contains(y) and vdot(facet, y) < 0:
-            nb = groebner_cone(hideal, y, S, seed=gc.basis, check=check)
-            if nb.cone.dim == S.region.dim and nb.cone.strictly_contains(y):
-                cap = gc.cone.intersect(nb.cone)
-                if cap.key() == face.key():
-                    return nb
-        eps = eps / 2
-    raise RuntimeError("flip failed to settle after shrinking perturbations")
-
-
-def _found_across(gc, face, found):
-    """Whether a found cone meets gc in exactly the facet face.  The fan has
-    one maximal cone across each interior facet, so flipping there would
-    only find that cone again."""
-    p = face.relint_point()
-    key = face.key()
-    return any(c is not gc and c.cone.contains(p)
-               and gc.cone.intersect(c.cone).key() == key
-               for c in found)
+    nb = groebner_cone(hideal, face.relint_point(), S, seed=gc.basis,
+                       check=check, d=d)
+    if (nb.cone.dim != S.region.dim
+            or gc.cone.intersect(nb.cone).key() != face.key()):
+        raise RuntimeError("the cone past facet %r is not adjacent across it"
+                           % (facet,))
+    return nb
 
 
 def enumerate_cones(hideal, S, check=False):
     """All maximal Groebner cones of the homogenized ideal restricted to the
     subspace, by breadth-first facet flipping from a generic start.  Each
-    interior facet is flipped from one side only: a facet whose far side
-    is already found is skipped, so every flip finds a new cone."""
+    interior facet is flipped from one side only: a facet whose face another
+    found cone also has is skipped, so every flip finds a new cone."""
     rdim = S.region.dim
     start = None
     for y in _candidate_points(S):
@@ -228,18 +222,22 @@ def enumerate_cones(hideal, S, check=False):
             break
     if start is None:
         raise RuntimeError("no full-dimensional starting cone found")
-    found = {start.key(): start}
-    queue = [start]
-    while queue:
-        gc = queue.pop(0)
+    found, queue = set(), []
+    holders = {}  # facet-face key -> the found cones with that facet
+
+    def add(gc):
+        found.add(gc.key())
+        queue.append(gc)
+        for key in facet_keys(gc.cone):
+            holders.setdefault(key, []).append(gc)
+
+    add(start)
+    for gc in queue:  # breadth first: found cones are appended
         for facet in gc.cone.facet_covectors():
-            if facet_on_border(gc.cone, facet, S):
-                continue
-            face = gc.cone.facet_face(facet)
-            if _found_across(gc, face, found.values()):
+            if (facet_on_border(gc.cone, facet, S)
+                    or len(holders[gc.cone.facet_face(facet).key()]) > 1):
                 continue
             nb = flip(gc, facet, hideal, S, check=check)
             if nb.key() not in found:
-                found[nb.key()] = nb
-                queue.append(nb)
-    return list(found.values())
+                add(nb)
+    return queue

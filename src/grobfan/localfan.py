@@ -2,7 +2,8 @@
 for local initial ideals via restricted ecart division, gluing of enumerated
 cones into classes, and assembly of the validated closed fan."""
 
-from .linalg import vdot
+from collections import Counter
+
 from .rings import translate
 from .orders import local_order
 from .division import mora_divide
@@ -10,7 +11,7 @@ from .groebner import (Ideal, local_standard_basis, homogenized_ideal,
                        dehomogenized_basis)
 from .polyhedra import (cone_from_rays, validate_fan, FanValidationError,
                         assemble_closed_fan)
-from .fans import enumerate_cones
+from .fans import enumerate_cones, facet_keys
 
 
 def stratum_of(sig, w):
@@ -77,29 +78,20 @@ class LocalFanClass:
 
 def _glue(members, pdim):
     """Convex union of the member cones: the hull of their generators,
-    verified by checking that every member facet interior to the hull is
-    shared with another member."""
+    verified by checking that every member facet off the hull's boundary is
+    a facet of another member.  Members and hull span one space, so a
+    member facet is on the boundary iff it is a facet covector of the hull."""
     if len(members) == 1:
         return members[0].cone
-    rays = []
-    lines = []
+    rays, lines = [], []
     for gc in members:
         rays.extend(gc.cone.rays())
         lines.extend(gc.cone.lineality())
     hull = cone_from_rays(pdim, rays, lines)
-    hull_facets = hull.facet_covectors()
-    hull_eqs = hull.equation_basis()
+    shared = Counter(k for gc in members for k in facet_keys(gc.cone))
     for gc in members:
-        for f in gc.cone.facet_covectors():
-            face = gc.cone.facet_face(f)
-            gens = face.rays() + face.lineality()
-            on_hull = any(all(vdot(h, g) == 0 for g in gens)
-                          for h in list(hull_facets) + list(hull_eqs))
-            if on_hull:
-                continue
-            shared = any(other is not gc and all(
-                other.cone.contains(g) for g in gens) for other in members)
-            if not shared:
+        for f, key in zip(gc.cone.facet_covectors(), facet_keys(gc.cone)):
+            if f not in hull.facet_covectors() and shared[key] < 2:
                 raise RuntimeError(
                     "glued class is not convex: facet %r of a member is "
                     "neither on the hull boundary nor shared" % (f,))
@@ -109,9 +101,10 @@ def _glue(members, pdim):
 def merge_classes(cones, ideal, S, check=False):
     """Union-find over the cones enumerate_cones found for homogenized_ideal
     (ideal) on one stratum, merging cones whose witnesses give equal local
-    initial ideals; a dehomogenized cone basis is the standard basis."""
-    k = len(cones)
-    parent = list(range(k))
+    initial ideals; a dehomogenized cone basis is the standard basis.  A
+    class is convex, so its members are connected through shared facets:
+    only the two cones on each facet face are compared."""
+    parent = list(range(len(cones)))
 
     def find(i):
         while parent[i] != i:
@@ -122,16 +115,18 @@ def merge_classes(cones, ideal, S, check=False):
     sig = ideal.sig
     witnesses = [S.to_ambient(c.witness) for c in cones]
     bases = [dehomogenized_basis(c.basis) for c in cones]
-    for i in range(k):
-        for j in range(i + 1, k):
-            if find(i) == find(j):
-                continue
-            if _initials_equal(sig, witnesses[i], bases[i],
-                               witnesses[j], bases[j], check=check):
-                parent[find(j)] = find(i)
+    sharing = {}
+    for i, c in enumerate(cones):
+        for key in facet_keys(c.cone):
+            sharing.setdefault(key, []).append(i)
+    for i, j in (pair for pair in sharing.values() if len(pair) == 2):
+        if find(i) != find(j) and _initials_equal(
+                sig, witnesses[i], bases[i], witnesses[j], bases[j],
+                check=check):
+            parent[find(j)] = find(i)
     groups = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(cones[i])
+    for i, c in enumerate(cones):
+        groups.setdefault(find(i), []).append(c)
     out = []
     for members in groups.values():
         stratum = stratum_of(sig, S.to_ambient(members[0].witness))

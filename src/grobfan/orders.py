@@ -97,11 +97,11 @@ def grading_row(sig):
     raise ValueError("Groebner orders exist only on homogenized signatures")
 
 
-def groebner_order(sig, w):
-    """Well order on a homogenized signature privileging the weight w
-    (w lives on the x/d blocks; h slots weigh zero).  Used for all reduced
-    Groebner basis computations."""
-    rows = [grading_row(sig), sig.slot_weight(w)]
+def groebner_order(sig, *ws):
+    """Well order on a homogenized signature privileging the weights ws in
+    turn (each lives on the x/d blocks; h slots weigh zero).  Used for all
+    reduced Groebner basis computations."""
+    rows = [grading_row(sig)] + [sig.slot_weight(w) for w in ws]
     if sig.homog == "double":
         rows += [_beta_k_row(sig), _beta_row(sig), _neg_alpha_row(sig)]
     return MatrixOrder(sig.nslots, rows)

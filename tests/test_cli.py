@@ -359,3 +359,17 @@ def test_parse_rejects_a_hostile_vector_entry(capsys, argv, stmt, where,
     err = capsys.readouterr().err
     assert where in err and message in err
 
+
+
+@pytest.mark.parametrize("argv, stmt, message", [
+    ([], "alpha: [0, 1];", "alpha must be 2 positive integers"),
+    ([], "alpha: [1];", "alpha must be 2 positive integers"),
+    ([], "base-point: [1];", "base-point must have 2 entries"),
+    (["--base-point", "[1,2,3]"], "", "base-point must have 2 entries"),
+], ids=["alpha-zero", "alpha-arity", "base-point", "base-point-flag"])
+def test_cli_rejects_a_vector_of_the_wrong_shape(capsys, argv, stmt,
+                                                 message):
+    # caught before any computation: a parse error, not a computation error
+    text = CUSP.replace("local-fan", "global-fan") + stmt + "\n"
+    assert run_cli(argv, text) == (2, b"")
+    assert message in capsys.readouterr().err

@@ -1,14 +1,20 @@
 """Groebner cones and their enumeration by facet flipping."""
 
 import random
+import re
 
+import pytest
+
+from grobfan import fans
 from grobfan.rational import QQ
+from grobfan.linalg import vdot
 from grobfan.rings import RingSignature, Element
 from grobfan.groebner import Ideal, homogenized_ideal
 from grobfan.polyhedra import HCone, validate_fan
 from grobfan.fans import (WeightSubspace, full_subspace, region_cone,
                           groebner_cone, enumerate_cones,
-                          assemble_closed_fan, facet_on_border, flip)
+                          assemble_closed_fan, facet_on_border, flip,
+                          _projected_direction)
 
 from conftest import hypergeometric_ideal
 from test_localfan import _random_ideal
@@ -152,24 +158,113 @@ def test_differential_global_fan_h11():
     assert all(gc.cone.dim == 2 for gc in cones)
 
 
-def test_each_flip_finds_a_new_cone(flip_calls):
-    # one flip per pair of adjacent maximal cones: every cone but the
-    # starting one is found by exactly one flip, and no flip is wasted
+def _walk_cases():
+    """(homogenized ideal, subspace) pairs: the cusp over uloc,
+    hypergeometric n=1 under h11 over wglob, and every stratum the local
+    fan enumerates for the first 16 ideals of Random(5), which include fans
+    of 2 to 5 cones."""
     I1 = hypergeometric_ideal(1)
     cases = [(cusp_hideal(), full_subspace(RingSignature(2, "poly"), "uloc")),
              (homogenized_ideal(I1, mode="h11"),
               full_subspace(I1.sig, "wglob"))]
-    rng = random.Random(5)  # the first 16 ideals include fans of 2 to 5 cones
+    rng = random.Random(5)
     for _ in range(16):
         I = _random_ideal(rng, rng.choice([1, 2, 2, 3]))
         S = full_subspace(I.sig, "uloc")
-        # every stratum the local fan enumerates
         cases += [(homogenized_ideal(I), S.restrict(face))
                   for face in S.region.faces()]
+    return cases
+
+
+def test_each_flip_finds_a_new_cone(flip_calls):
+    # one flip per pair of adjacent maximal cones: every cone but the
+    # starting one is found by exactly one flip, and no flip is wasted
     sizes = []
-    for hid, S in cases:
+    for hid, S in _walk_cases():
         del flip_calls[:]
         cones = enumerate_cones(hid, S)
         assert len(flip_calls) == len(cones) - 1
         sizes.append(len(cones))
     assert max(sizes) >= 5 and sum(n > 1 for n in sizes) >= 10
+
+
+# --- the walk against its earlier definitions ----------------------------
+
+def _halving_flip(gc, facet, hideal, S):
+    """The flip by shrinking perturbations: the cone of the first
+    p + eps*d, eps = 1, 1/2, ..., that is full-dimensional, holds that point
+    in its relative interior and meets gc in exactly the facet face."""
+    face = gc.cone.facet_face(facet)
+    p = face.relint_point()
+    d = _projected_direction(facet, gc.cone.equation_basis())
+    eps = QQ(1)
+    for _ in range(64):
+        y = tuple(a + eps * b for a, b in zip(p, d))
+        if S.region.contains(y) and vdot(facet, y) < 0:
+            nb = groebner_cone(hideal, y, S, seed=gc.basis)
+            if (nb.cone.dim == S.region.dim and nb.cone.strictly_contains(y)
+                    and gc.cone.intersect(nb.cone).key() == face.key()):
+                return nb
+        eps = eps / 2
+    raise AssertionError("the halving flip did not settle")
+
+
+def _generator_facet_on_border(cone, facet, S):
+    """Whether the facet lies inside a supporting hyperplane of the region
+    that does not contain the whole cone, tested on generators."""
+    face = cone.facet_face(facet)
+    gens = face.lineality() + face.rays()
+    cgens = cone.lineality() + cone.rays()
+    return any(all(vdot(r, g) == 0 for g in gens)
+               and any(vdot(r, g) != 0 for g in cgens)
+               for r in S.region.facet_covectors())
+
+
+def test_flip_is_one_completion_and_matches_the_halving_flip(monkeypatch):
+    completions = []
+    buchberger = fans.buchberger
+
+    def counting(*args, **kwargs):
+        completions.append(args)
+        return buchberger(*args, **kwargs)
+
+    monkeypatch.setattr(fans, "buchberger", counting)
+    flips = 0
+    for hid, S in _walk_cases():
+        for gc in enumerate_cones(hid, S):
+            for facet in gc.cone.facet_covectors():
+                if facet_on_border(gc.cone, facet, S):
+                    continue
+                del completions[:]
+                nb = flip(gc, facet, hid, S)
+                assert len(completions) == 1
+                ref = _halving_flip(gc, facet, hid, S)
+                assert nb.key() == ref.key()
+                assert nb.witness == ref.witness
+                assert nb.basis == ref.basis
+                assert nb.initials == ref.initials
+                flips += 1
+    assert flips >= 36
+
+
+def test_facet_on_border_matches_the_generator_test():
+    seen = set()
+    for hid, S in _walk_cases():
+        for gc in enumerate_cones(hid, S):
+            for facet in gc.cone.facet_covectors():
+                on = facet_on_border(gc.cone, facet, S)
+                assert on == _generator_facet_on_border(gc.cone, facet, S)
+                seen.add(on)
+    assert seen == {True, False}
+
+
+def test_flip_rejects_a_cone_not_adjacent_across_the_facet(monkeypatch):
+    hid = cusp_hideal()
+    S = full_subspace(RingSignature(2, "poly"), "uloc")
+    gc = enumerate_cones(hid, S)[0]
+    facet = next(f for f in gc.cone.facet_covectors()
+                 if not facet_on_border(gc.cone, f, S))
+    # a walk that lands back in gc has not crossed the facet
+    monkeypatch.setattr(fans, "groebner_cone", lambda *args, **kw: gc)
+    with pytest.raises(RuntimeError, match=re.escape(repr(facet))):
+        flip(gc, facet, hid, S)

@@ -2,18 +2,24 @@
 and the randomized property suite."""
 
 import random
+from types import SimpleNamespace
+
+import pytest
 
 from grobfan.rational import QQ
 from grobfan.rings import RingSignature, Element, homogenize
 from grobfan.groebner import (Ideal, homogenized_ideal, dehomogenized_basis,
                               local_standard_basis)
-from grobfan.polyhedra import validate_fan
+from grobfan.polyhedra import validate_fan, cone_from_rays
 from grobfan.fans import (WeightSubspace, full_subspace, region_cone,
                           enumerate_cones, groebner_cone)
 from grobfan import localfan
 from grobfan.localfan import (stratum_of, allowed_block,
                               local_initials_equal, merge_classes,
-                              assemble_local_fan, translate_base_point)
+                              assemble_local_fan, translate_base_point,
+                              _initials_equal)
+
+from test_acceptance import _bs_ideal, _bs_subspace
 
 
 def V(sig, i):
@@ -248,3 +254,70 @@ def test_gluing_computes_no_standard_basis(monkeypatch):
     I = Ideal(sig, [y - 3 * x, C(sig, 2) * x - x * x * x - y * y * y * y])
     lf = assemble_local_fan(I, full_subspace(sig, "uloc"))
     assert any(len(cl.members) > 1 for cl in lf.classes)
+
+
+# --- merging compares facet-adjacent cones only --------------------------
+
+def _all_pairs_classes(cones, ideal, S):
+    """The classes as sets of cone keys, by a union-find that compares every
+    pair of cones."""
+    parent = list(range(len(cones)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    witnesses = [S.to_ambient(c.witness) for c in cones]
+    bases = [dehomogenized_basis(c.basis) for c in cones]
+    for i in range(len(cones)):
+        for j in range(i + 1, len(cones)):
+            if find(i) != find(j) and _initials_equal(
+                    ideal.sig, witnesses[i], bases[i], witnesses[j],
+                    bases[j]):
+                parent[find(j)] = find(i)
+    classes = {}
+    for i, c in enumerate(cones):
+        classes.setdefault(find(i), set()).add(c.key())
+    return {frozenset(keys) for keys in classes.values()}
+
+
+def _merge_cases():
+    """The cusp and the first 16 ideals of Random(5) over uloc, and the
+    two-parameter local example over wloc."""
+    sig = RingSignature(2, "poly")
+    x, y = V(sig, 0), V(sig, 1)
+    yield Ideal(sig, [x * x * x - y * y]), full_subspace(sig, "uloc")
+    rng = random.Random(5)
+    for _ in range(16):
+        I = _random_ideal(rng, rng.choice([1, 2, 2, 3]))
+        yield I, full_subspace(I.sig, "uloc")
+    yield _bs_ideal(), _bs_subspace()
+
+
+def test_merge_classes_matches_all_pairs_merging():
+    glued = 0
+    for I, S in _merge_cases():
+        hid = homogenized_ideal(I)
+        for face in S.region.faces():
+            Sf = S.restrict(face)
+            cones = enumerate_cones(hid, Sf)
+            classes = merge_classes(cones, I, Sf)
+            assert ({frozenset(m.key() for m in cl.members)
+                     for cl in classes}
+                    == _all_pairs_classes(cones, I, Sf))
+            glued += sum(len(cl.members) > 1 for cl in classes)
+    assert glued >= 8
+
+
+def test_glue_checks_convexity_on_a_proper_stratum():
+    # cones of the plane x3 = 0: the hull's equation vanishes on every
+    # generator, so only a facet's covector tells whether it bounds the hull
+    def member(*rays):
+        return SimpleNamespace(cone=cone_from_rays(3, rays))
+
+    a = member((1, 0, 0), (1, 1, 0))
+    glued = localfan._glue([a, member((1, 1, 0), (0, 1, 0))], 3)
+    assert glued.key() == cone_from_rays(3, [(1, 0, 0), (0, 1, 0)]).key()
+    with pytest.raises(RuntimeError, match="not convex"):
+        localfan._glue([a, member((0, 1, 0), (-1, 1, 0))], 3)

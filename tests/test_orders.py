@@ -10,7 +10,7 @@ from grobfan.orders import (MatrixOrder, degrevlex, groebner_order,
 
 from hypothesis import strategies as st
 
-from conftest import elements, weights
+from conftest import elements, exponents, weights
 
 
 def wglob_weights_1():
@@ -185,3 +185,26 @@ def test_leading_exponents_multiplicative_commutative(f, g, w):
     eg, _ = leading_data(g, o)
     efg, _ = leading_data(f * g, o)
     assert efg == tuple(a + b for a, b in zip(ef, eg))
+
+
+_HOMOGENIZED = [RingSignature(2, "poly", "alpha"),
+                RingSignature(3, "poly", "alpha", alpha=(1, 2, 1)),
+                RingSignature(1, "weyl", "h11"),
+                RingSignature(2, "weyl", "double")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_HOMOGENIZED).flatmap(lambda sig: st.tuples(
+    st.just(sig), weights(sig.weight_dim, -5, 5),
+    weights(sig.weight_dim, -5, 5),
+    st.lists(exponents(sig.nslots), min_size=2, max_size=6))))
+def test_order_past_a_point_is_the_order_of_a_nearby_weight(case):
+    # p is integral, so p.(a-b) is 0 or at least 1 in size, while
+    # |d.(a-b)| <= 5*3*weight_dim < 1/eps: p + eps*d ranks by p, then by d
+    sig, p, d, exps = case
+    eps = QQ(1, 1 + 15 * sig.weight_dim)
+    past = groebner_order(sig, p, d)
+    near = groebner_order(sig, tuple(a + eps * b for a, b in zip(p, d)))
+    for a in exps:
+        for b in exps:
+            assert past.compare(a, b) == near.compare(a, b)
