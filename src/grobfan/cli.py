@@ -500,6 +500,9 @@ def run(spec, text="", validate=False, check=False):
     if mode == "compare-initials":
         if not spec.weights or len(spec.weights) != 2:
             raise ParseError("compare-initials needs `weights: [[w],[w']];`")
+        if any(len(w) != sig.weight_dim for w in spec.weights):
+            raise ParseError("weights must have %d entries each"
+                             % sig.weight_dim)
         w1, w2 = (tuple(QQ(x) for x in w) for w in spec.weights)
         try:
             equal = local_initials_equal(ideal, w1, w2, check=check)

@@ -87,14 +87,13 @@ def full_subspace(sig, region_kind):
 
 
 class GroebnerCone:
-    __slots__ = ("cone", "witness", "basis", "initials", "order")
+    __slots__ = ("cone", "witness", "basis", "initials")
 
-    def __init__(self, cone, witness, basis, initials, order):
+    def __init__(self, cone, witness, basis, initials):
         self.cone = cone
         self.witness = witness
         self.basis = basis
         self.initials = initials
-        self.order = order
 
     def key(self):
         return self.cone.key()
@@ -106,7 +105,7 @@ def groebner_cone(hideal, y, S, seed=None, check=False, d=None):
     intersected with the subspace region.  With a direction d it is the
     cone of y + eps*d for all small eps > 0: the basis is computed under the
     order ranking by y, then by d, and the witness is the first of y + d,
-    y + d/2, ... inside the cone, at which initials and order are taken."""
+    y + d/2, ... inside the cone, at which the initials are taken."""
     sig = hideal.sig
     ws = [S.to_ambient(v) for v in (y, d) if v is not None]
     order = groebner_order(sig, *ws)
@@ -132,8 +131,7 @@ def groebner_cone(hideal, y, S, seed=None, check=False, d=None):
                  for k in count())
         witness = next(x for x in steps if cone.strictly_contains(x))
     w = S.to_ambient(witness)
-    return GroebnerCone(cone, witness, basis, initial_ideal(basis, sig, w),
-                        groebner_order(sig, w))
+    return GroebnerCone(cone, witness, basis, initial_ideal(basis, sig, w))
 
 
 def _span_basis(eq_rows, p):

@@ -138,12 +138,11 @@ def merge_classes(cones, ideal, S, check=False):
 
 
 class LocalFan:
-    __slots__ = ("classes", "cones", "report")
+    __slots__ = ("classes", "cones")
 
-    def __init__(self, classes, cones, report):
+    def __init__(self, classes, cones):
         self.classes = classes
         self.cones = cones
-        self.report = report
 
 
 def assemble_local_fan(ideal, S, check=False):
@@ -161,7 +160,7 @@ def assemble_local_fan(ideal, S, check=False):
     if not ok:
         raise FanValidationError("assembled local fan fails validation: %s"
                                  % problems[0])
-    return LocalFan(classes, cones, (ok, problems))
+    return LocalFan(classes, cones)
 
 
 def translate_base_point(ideal, point):

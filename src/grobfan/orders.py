@@ -4,9 +4,7 @@ An order is a list of integer weight rows compared lexicographically, with a
 final graded reverse-lexicographic tie-break so the comparison is always total.
 Each row is stored as its primitive integer vector: a positive scaling keeps
 the order.  `MatrixOrder.key` is the one ranking routine; every comparison in
-the package sorts or maximizes by it.  Classification flags (well order /
-local / admissible / degree-first block order) are derived by probing unit
-vectors.
+the package sorts or maximizes by it.
 """
 
 from operator import mul
@@ -15,7 +13,7 @@ from .linalg import primitive
 
 
 class MatrixOrder:
-    __slots__ = ("nslots", "rows", "_flags")
+    __slots__ = ("nslots", "rows")
 
     def __init__(self, nslots, rows):
         self.nslots = nslots
@@ -26,7 +24,6 @@ class MatrixOrder:
                 raise ValueError("order row arity mismatch")
             if any(x != 0 for x in row):
                 self.rows.append(primitive(row))
-        self._flags = None
 
     def key(self, e):
         """Sort key of the exponent e: the row products, then the total
@@ -41,29 +38,6 @@ class MatrixOrder:
             raise ValueError("exponent arity mismatch")
         ka, kb = self.key(a), self.key(b)
         return (ka > kb) - (ka < kb)
-
-    # --- classification ---------------------------------------------
-    def _unit(self, i):
-        return tuple(1 if j == i else 0 for j in range(self.nslots))
-
-    def _probe(self, sig):
-        one = self.key((0,) * self.nslots)
-        well = all(self.key(self._unit(i)) > one for i in range(self.nslots))
-        local = all(self.key(self._unit(i)) < one for i in range(sig.n))
-        admissible = False
-        if sig.has_d:
-            admissible = local and all(
-                self.key(tuple((1 if j in (i, sig.n + i) else 0)
-                               for j in range(self.nslots))) > one
-                for i in range(sig.n))
-        block = bool(self.rows) and all(x == 1 for x in self.rows[0])
-        return {"isWellOrder": well, "isLocal": local,
-                "isAdmissible": admissible, "isBlockOnHPrime": block}
-
-    def flags(self, sig):
-        if self._flags is None:
-            self._flags = self._probe(sig)
-        return self._flags
 
     def __repr__(self):
         return "MatrixOrder(%d, %r)" % (self.nslots, self.rows)

@@ -170,9 +170,6 @@ class Element:
     def is_zero(self):
         return not self.terms
 
-    def support(self):
-        return set(self.terms)
-
     def __eq__(self, other):
         return (isinstance(other, Element) and self.sig == other.sig
                 and self.terms == other.terms)

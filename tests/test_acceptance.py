@@ -260,7 +260,8 @@ def _assert_cones_tile_region(hid, cones, S, samples):
         y = gc.cone.relint_point()
         assert gc.cone.strictly_contains(y)
         _assert_recomputed(hid, gc, y, S)
-        basis, order = gc.basis, gc.order
+        basis = gc.basis
+        order = groebner_order(hid.sig, S.to_ambient(gc.witness))
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
                 _, r = divide(s_pair(basis[i], basis[j], order), basis, order)
@@ -341,6 +342,11 @@ def test_hypergeometric_maximal_cone_counts(flip_calls):
     # the h-saturated object H(I) has a coarser fan
     assert len(c2sat) == 30
     _assert_cones_tile_region(Jsat, c2sat, S, samples)
+    # both closed fans pass the fan axioms
+    for cones in (c2, c2sat):
+        ok, problems = validate_fan(
+            assemble_closed_fan([gc.cone for gc in cones]))
+        assert ok, problems
 
 
 def test_same_global_fans_different_local_fans():

@@ -148,7 +148,7 @@ def test_cli_check_fan_exit_code_on_bad_fan():
     assert code == 4
 
 
-def test_cli_compare_initials():
+def test_cli_compare_initials(capsys):
     text = ("ring poly(x,y);\nideal: x^3 - y^2;\nmode: compare-initials;\n"
             "weights: [[-1,-1],[-5,-2]];\n")
     code, out = run_cli(["--emit", "summary"], text)
@@ -156,9 +156,26 @@ def test_cli_compare_initials():
     text2 = text.replace("[-5,-2]", "[-2,-5]")
     code, out = run_cli(["--emit", "summary"], text2)
     assert code == 0 and b"equal: no" in out
-    # a weight of the wrong arity is a computation error, not a crash
+    # a weight of the wrong arity is a parse error, caught before any
+    # computation
     code, out = run_cli([], text.replace("[-5,-2]", "[-5]"))
-    assert (code, out) == (3, b"")
+    assert (code, out) == (2, b"")
+    assert "weights must have 2 entries each" in capsys.readouterr().err
+
+
+HYPERGEOMETRIC_N1 = ("ring weyl(x1);\n"
+                     "ideal: dx1 - (1/2 + x1*dx1)*(x1*dx1 + 1/3);\n"
+                     "mode: global-fan;\nregion: wglob;\n"
+                     "homogenization: h11;\n")
+
+
+@pytest.mark.parametrize("text", [CUSP.replace("local-fan", "global-fan"),
+                                  HYPERGEOMETRIC_N1],
+                         ids=["cusp", "hypergeometric-n1"])
+def test_cli_validate_flag_keeps_the_bytes(text):
+    code, out = run_cli([], text)
+    assert code == 0 and out.startswith(b"{")
+    assert run_cli(["--validate"], text) == (0, out)
 
 
 def test_cli_base_point_flag():

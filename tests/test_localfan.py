@@ -98,10 +98,8 @@ def test_differential_local_fan_validates():
     x, d = V(sig, 0), V(sig, 1)
     I = Ideal(sig, [x * d + C(sig, 2)])
     lf = assemble_local_fan(I, full_subspace(sig, "wloc"), check=True)
-    ok, problems = lf.report
+    ok, problems = validate_fan(lf.cones)
     assert ok, problems
-    ok2, problems2 = validate_fan(lf.cones)
-    assert ok2, problems2
 
 
 # --- randomized property suite -------------------------------------------
@@ -125,7 +123,7 @@ def _random_ideal(rng, n, max_gens=3, max_terms=3, deg=4):
 
 def test_random_local_fans_validate():
     # >= 50 randomized small ideals; every assembled closed local fan
-    # passes the fan axioms (validation runs inside assemble_local_fan)
+    # passes the fan axioms (assemble_local_fan raises otherwise)
     rng = random.Random(42)
     done = 0
     while done < 50:
@@ -133,7 +131,7 @@ def test_random_local_fans_validate():
         I = _random_ideal(rng, n)
         S = full_subspace(I.sig, "uloc")
         lf = assemble_local_fan(I, S)
-        ok, problems = lf.report
+        ok, problems = validate_fan(lf.cones)
         assert ok, problems
         done += 1
 

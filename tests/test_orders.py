@@ -1,4 +1,4 @@
-"""Matrix term orders: comparisons, classification flags, and
+"""Matrix term orders: comparisons, well-order and local properties, and
 multiplicativity of leading exponents on the admissible regions."""
 
 from hypothesis import given, settings
@@ -88,39 +88,48 @@ def test_comparison_is_total_and_antisymmetric():
             assert (ca == 0) == (a == b)
 
 
+def _unit(nslots, *slots):
+    return tuple(1 if j in slots else 0 for j in range(nslots))
+
+
+def _above_one(o, e):
+    return o.key(e) > o.key((0,) * o.nslots)
+
+
 def test_flags_well_order():
     sig = RingSignature(2, "poly", "alpha")
     o = groebner_order(sig, (QQ(1), QQ(2)))
-    f = o.flags(sig)
-    assert f["isWellOrder"] and not f["isLocal"]
+    # a well order, not a local one
+    assert all(_above_one(o, _unit(sig.nslots, i))
+               for i in range(sig.nslots))
+    assert any(_above_one(o, _unit(sig.nslots, i)) for i in range(sig.n))
 
 
 def test_flags_local_order():
     sig = RingSignature(2, "poly")
     o = local_order(sig, (QQ(-1), QQ(-1)))
-    f = o.flags(sig)
-    assert f["isLocal"] and not f["isWellOrder"]
+    # a local order, not a well order
+    assert not any(_above_one(o, _unit(sig.nslots, i))
+                   for i in range(sig.n))
+    assert not all(_above_one(o, _unit(sig.nslots, i))
+                   for i in range(sig.nslots))
 
 
 def test_flags_admissible_differential():
+    # x_i below 1, x_i d_i above 1
     sig = RingSignature(2, "weyl", "h01")
     o = local_order(sig, (QQ(-1), QQ(-1), QQ(1), QQ(1)))
-    f = o.flags(sig)
-    assert f["isAdmissible"]
-    # x_i below 1, x_i d_i above 1
-    zero = (0,) * sig.nslots
     for i in range(sig.n):
-        xi = tuple(1 if j == i else 0 for j in range(sig.nslots))
-        xidi = tuple(1 if j in (i, sig.n + i) else 0
-                     for j in range(sig.nslots))
-        assert o.compare(xi, zero) < 0
-        assert o.compare(xidi, zero) > 0
+        assert not _above_one(o, _unit(sig.nslots, i))
+        assert _above_one(o, _unit(sig.nslots, i, sig.n + i))
 
 
 def test_block_flag_on_total_degree_first():
+    # the first row is the total degree: it weighs every slot one
     sig = RingSignature(1, "weyl", "double")
     o = groebner_order(sig, (QQ(0), QQ(0)))
-    assert o.flags(sig)["isBlockOnHPrime"]
+    assert all(o.key(_unit(sig.nslots, i))[0] == 1
+               for i in range(sig.nslots))
 
 
 def test_commutator_stays_below_classical_lead_h01():

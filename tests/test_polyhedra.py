@@ -15,7 +15,8 @@ from grobfan import polyhedra
 from grobfan.polyhedra import (HCone, cone_from_rays, validate_fan,
                                RationalPolyhedron, newton_polyhedron,
                                face_of, normal_cone, minkowski_sum,
-                               normal_fan, ORTHANT, WLOC_STAR)
+                               normal_fan, assemble_closed_fan, ORTHANT,
+                               WLOC_STAR)
 
 
 def test_orthant_canonical_form():
@@ -196,6 +197,74 @@ def test_validate_fan_computes_faces_once_per_cone(monkeypatch):
     ok, problems = validate_fan(fan + fan[:2])
     assert ok, problems
     assert sorted(calls) == sorted(c.key() for c in fan)
+
+
+def _closed(*cones):
+    return [f for c in cones for f in c.faces()]
+
+
+def _all_pairs_fan(cones):
+    """Reference check: the family holds every face of its cones, and every
+    two cones, faces included, meet in a common face."""
+    uniq = {c.key(): c for c in cones}
+    face_keys = {k: {f.key() for f in c.faces()} for k, c in uniq.items()}
+    if any(f not in uniq for fk in face_keys.values() for f in fk):
+        return False
+    return all(
+        a.intersect(b).key() in face_keys[a.key()] & face_keys[b.key()]
+        for a, b in combinations(uniq.values(), 2))
+
+
+def test_validate_fan_agrees_with_all_pairs_on_random_families():
+    rng = random.Random(1)
+    non_fans = 0
+    for _ in range(300):
+        a = rng.choice([2, 3])
+        cones = [cone_from_rays(a, [tuple(rng.randint(-2, 2)
+                                          for _ in range(a))
+                                    for _ in range(rng.randint(1, 3))])
+                 for _ in range(rng.randint(2, 3))]
+        family = assemble_closed_fan(cones)
+        expected = _all_pairs_fan(family)
+        assert validate_fan(family)[0] == expected, family
+        non_fans += not expected
+    assert non_fans >= 100
+
+
+QUADRANT = HCone(2, [(1, 0), (0, 1)])
+
+
+@pytest.mark.parametrize("family", [
+    _closed(QUADRANT, cone_from_rays(2, [(1, 1)])),
+    _closed(HCone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+            cone_from_rays(3, [(1, 1, 0)])),
+    _closed(QUADRANT, cone_from_rays(2, [(1, 1), (1, 2)])),
+], ids=["ray-in-a-2-cone", "ray-in-a-facet", "2-cone-in-a-2-cone"])
+def test_validate_fan_rejects_a_cone_inside_another(family):
+    ok, problems = validate_fan(family)
+    assert not ok and "not a common face" in problems[0]
+
+
+def test_validate_fan_intersects_only_maximal_pairs(monkeypatch):
+    sig = RingSignature(3, "poly")
+    g = Element.zero(sig)
+    for e in [(4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 0), (0, 1, 1),
+              (1, 0, 1)]:
+        g = g + Element.monomial(sig, e)
+    fan = normal_fan(newton_polyhedron(g),
+                     HCone(3, [(-1, 0, 0), (0, -1, 0), (0, 0, -1)]))
+    m = sum(c.dim == 3 for c in fan)
+    calls = []
+    intersect = HCone.intersect
+
+    def counting(self, other):
+        calls.append(other)
+        return intersect(self, other)
+
+    monkeypatch.setattr(HCone, "intersect", counting)
+    ok, problems = validate_fan(fan)
+    assert ok, problems
+    assert m == 6 and len(calls) == m * (m - 1) // 2
 
 
 def test_cone_from_rays_round_trip_simple():
