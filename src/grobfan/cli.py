@@ -254,7 +254,7 @@ def _rational_token(ts):
         if den == 0:
             raise ParseError("zero denominator", t[2], t[3])
         return QQ(sign * num, den)
-    return QQ(sign * num)
+    return sign * num
 
 
 def _integer_token(ts):
@@ -600,10 +600,17 @@ def check_fan_document(doc):
     revalidate the fan axioms.  Returns (ok, list of problem strings)."""
     try:
         ambient = doc["parameter_dim"]
-        cones = []
+        if type(ambient) is not int or ambient != len(doc["subspace_rows"]):
+            raise ValueError("parameter_dim must be the number of "
+                             "subspace rows")
         for rec in doc["cones"]:
-            cones.append(cone_from_rays(ambient, rec["rays"],
-                                        rec["lineality"]))
+            for v in rec["rays"] + rec["lineality"]:
+                if (type(v) is not list or len(v) != ambient
+                        or any(type(x) is not int for x in v)):
+                    raise ValueError("rays and lineality must be lists of "
+                                     "%d integers" % ambient)
+        cones = [cone_from_rays(ambient, rec["rays"], rec["lineality"])
+                 for rec in doc["cones"]]
         recorded = list(doc["incidence"])
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError("malformed fan document: %s" % e)

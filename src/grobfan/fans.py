@@ -52,7 +52,7 @@ class WeightSubspace:
 
     def __init__(self, ambient, rows, region):
         self.ambient = ambient
-        self.rows = [tuple(QQ(x) for x in r) for r in rows]
+        self.rows = [tuple(r) for r in rows]
         for r in self.rows:
             if len(r) != ambient:
                 raise ValueError("subspace row arity mismatch")
@@ -65,7 +65,7 @@ class WeightSubspace:
         return len(self.rows)
 
     def to_ambient(self, y):
-        out = [QQ(0)] * self.ambient
+        out = [0] * self.ambient
         for yi, row in zip(y, self.rows):
             out = [a + yi * b for a, b in zip(out, row)]
         return tuple(out)
@@ -134,13 +134,6 @@ def groebner_cone(hideal, y, S, seed=None, check=False, d=None):
     return GroebnerCone(cone, witness, basis, initial_ideal(basis, sig, w))
 
 
-def _span_basis(eq_rows, p):
-    """A basis of the kernel of the equation rows (unit vectors if none)."""
-    if eq_rows:
-        return nullspace(list(eq_rows), p)
-    return [tuple(1 if j == i else 0 for j in range(p)) for i in range(p)]
-
-
 def _candidate_points(S):
     """Deterministic interior candidates: the region's relative-interior
     point, then prime-coefficient perturbations along the region's affine
@@ -148,7 +141,7 @@ def _candidate_points(S):
     base = S.region.relint_point()
     p = S.dim
     yield base
-    dirs = _span_basis(S.region.equation_basis(), p)
+    dirs = nullspace(S.region.equation_basis(), p)
     if not dirs:
         return
     for k in range(START_BUDGET):
@@ -159,7 +152,7 @@ def _candidate_points(S):
             pert = [a + c * b for a, b in zip(pert, d)]
         # keep the perturbation small against the (integer) base point so
         # region strictness is preserved; cones are scale invariant
-        cand = tuple(1000 * QQ(b) + x for b, x in zip(base, pert))
+        cand = tuple(1000 * b + x for b, x in zip(base, pert))
         if S.region.strictly_contains(cand):
             yield cand
 
@@ -169,8 +162,8 @@ def _projected_direction(covector, eq_rows):
     common equation space: minus the projection of the covector onto the
     orthogonal complement of the equations."""
     p = len(covector)
-    d = [QQ(0)] * p
-    for nvec in _span_basis(eq_rows, p):
+    d = [0] * p
+    for nvec in nullspace(eq_rows, p):
         c = vdot(covector, nvec)
         d = [a - c * b for a, b in zip(d, nvec)]
     return tuple(d)

@@ -1,12 +1,14 @@
-"""Small exact linear algebra helpers over the rationals.
+"""Small exact linear algebra helpers on integer vectors.
 
-Vectors are tuples (entries are ints or rationals); matrices are sequences of
-such tuples.  Everything is exact; no floats anywhere.
+Vectors are tuples; matrices are sequences of such tuples.  Covectors, rays
+and lines are integer vectors, and elimination is fraction-free: a row
+operation multiplies by the pivot instead of dividing by it, and each new
+row is divided by the gcd of its entries.  Rational entries are accepted
+where a vector enters (`primitive` clears their denominators).  No floats
+anywhere.
 """
 
-from math import gcd
-
-from .rational import QQ
+from math import gcd, lcm
 
 
 def vdot(a, b):
@@ -21,18 +23,14 @@ def is_zero_vec(a):
 
 
 def primitive(vec):
-    """Scale a rational vector by a positive constant to a coprime integer
-    vector.  Returns a tuple of ints (all zero stays all zero)."""
-    fracs = [QQ(x) for x in vec]
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, int(f.denominator))
-    ints = [int(f.numerator) * (den // int(f.denominator)) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    """Scale an integer or rational vector by a positive constant to a
+    coprime integer vector.  Returns a tuple of ints (all zero stays all
+    zero)."""
+    den = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (den // x.denominator) for x in vec]
+    g = gcd(*ints)
     if g > 1:
-        ints = [x // g for x in ints]
+        return tuple(x // g for x in ints)
     return tuple(ints)
 
 
@@ -49,64 +47,66 @@ def primitive_signed(vec):
 
 
 def rref(rows):
-    """Reduced row echelon form.  Returns (rows, pivot_columns) with the rows
-    as tuples of rationals; zero rows dropped."""
-    mat = [[QQ(x) for x in row] for row in rows]
+    """Integer reduced row echelon form.  Returns (rows, pivot_columns);
+    each row is primitive, positive at its pivot and zero at the other
+    pivots, so it is a positive multiple of the rational rref row.  Zero
+    rows are dropped."""
+    mat = [primitive(row) for row in rows]
     if not mat:
         return [], []
     ncols = len(mat[0])
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0),
+                     None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
+        if mat[r][c] < 0:
+            mat[r] = tuple(-x for x in mat[r])
+        prow, pv = mat[r], mat[r][c]
         for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+            f = mat[i][c]
+            if i != r and f != 0:
+                mat[i] = primitive([pv * x - f * y
+                                    for x, y in zip(mat[i], prow)])
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    return [tuple(row) for row in mat[:r]], pivots
+    return mat[:r], pivots
 
 
 def rank(rows):
     return len(rref(rows)[0])
 
 
-def nullspace(rows, ncols=None):
-    """Basis of the right null space, as primitive integer vectors."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("need ncols for an empty system")
-        ncols = len(rows[0])
+def nullspace(rows, ncols):
+    """Basis of the right null space, as primitive integer vectors with a
+    positive first nonzero entry (unit vectors for no rows)."""
     red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    scale = lcm(*(row[pc] for row, pc in zip(red, pivots)))
     basis = []
-    for fc in free:
-        vec = [QQ(0)] * ncols
-        vec[fc] = QQ(1)
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [0] * ncols
+        vec[fc] = scale
         for row, pc in zip(red, pivots):
-            vec[pc] = -row[fc]
+            vec[pc] = -row[fc] * (scale // row[pc])
         basis.append(primitive_signed(vec))
     return basis
 
 
 def reduce_mod_rowspace(vec, red_rows, pivots):
-    """Reduce vec modulo the row space given in rref form (canonical coset
-    representative: pivot coordinates become zero)."""
-    out = [QQ(x) for x in vec]
+    """Reduce the integer vector vec modulo the row space given in integer
+    rref form: a positive multiple of the canonical coset representative,
+    whose pivot coordinates are zero."""
+    out = vec
     for row, pc in zip(red_rows, pivots):
-        if out[pc] != 0:
-            f = out[pc]
-            out = [x - f * y for x, y in zip(out, row)]
+        f = out[pc]
+        if f != 0:
+            p = row[pc]
+            out = [p * x - f * y for x, y in zip(out, row)]
     return tuple(out)

@@ -1,25 +1,28 @@
 """Exact rational cones, polyhedra, Newton polyhedra and fan validation.
 
 Cones are stored in H-form (integer covectors; inequalities mean c.x >= 0).
-Canonicalization runs a double description pass to obtain generators, from
-which dimension, lineality, implicit equalities and irredundant facets are
-derived; two cones are equal iff their canonical forms coincide.  Faces are
-built from those generators, not by further passes: the face on a facet
-keeps the lines and the rays the facet covector vanishes on.
+Canonicalization runs a fraction-free double description pass to obtain
+generators (primitive integer rays and lines), from which dimension,
+lineality, implicit equalities and irredundant facets are derived by
+integer elimination; two cones are equal iff their canonical forms
+coincide.  Faces are built from those generators, not by further passes:
+the face on a facet keeps the lines and the rays the facet covector
+vanishes on.
 """
 
 from itertools import combinations
 
-from .rational import QQ
-from .linalg import (vdot, primitive, primitive_signed, rref, rank, nullspace,
+from .linalg import (vdot, primitive, primitive_signed, rref, rank,
                      reduce_mod_rowspace, is_zero_vec)
 
 
 def _dd_generators(ambient, eqs, ineqs):
-    """Double description: return (lines, rays) spanning the cone given by
-    the equalities and inequalities.  Rays carry tight-constraint bitmasks
-    for the combinatorial adjacency test."""
-    lines = [tuple(QQ(1) if j == i else QQ(0) for j in range(ambient))
+    """Double description (Fukuda and Prodon, 1996) on integer vectors:
+    return (lines, rays) spanning the cone given by the equalities and
+    inequalities.  Each new line or ray is a primitive integer combination
+    of two old ones.  Rays carry tight-constraint bitmasks for the
+    combinatorial adjacency test."""
+    lines = [tuple(1 if j == i else 0 for j in range(ambient))
              for i in range(ambient)]
     rays = []  # list of [vector, tight-mask]
     constraints = [(c, True) for c in eqs] + [(c, False) for c in ineqs]
@@ -30,11 +33,14 @@ def _dd_generators(ambient, eqs, ineqs):
         if pivot is not None:
             l0 = lines.pop(pivot)
             v0 = vals.pop(pivot)
-            lines = [tuple(x - vdot(c, l) / v0 * y for x, y in zip(l, l0))
-                     for l in lines]
+            lines = [primitive([v0 * x - v * y for x, y in zip(l, l0)])
+                     for l, v in zip(lines, vals)]
+            # a positive multiple of r - (c.r / v0) l0
+            s0 = 1 if v0 > 0 else -1
             for r in rays:
-                f = vdot(c, r[0]) / v0
-                r[0] = tuple(x - f * y for x, y in zip(r[0], l0))
+                f = s0 * vdot(c, r[0])
+                r[0] = primitive([s0 * v0 * x - f * y
+                                  for x, y in zip(r[0], l0)])
             if is_eq:
                 for r in rays:
                     r[1] |= 1 << nproc
@@ -50,10 +56,13 @@ def _dd_generators(ambient, eqs, ineqs):
         P, Z, N = [], [], []
         for r in rays:
             v = vdot(c, r[0])
-            (P if v > 0 else Z if v == 0 else N).append(r)
+            if v == 0:
+                Z.append(r)
+            else:
+                (P if v > 0 else N).append((r, v))
         new = []
-        for p in P:
-            for n in N:
+        for p, vp in P:
+            for n, vn in N:
                 common = p[1] & n[1]
                 ok = True
                 for r in rays:
@@ -64,21 +73,21 @@ def _dd_generators(ambient, eqs, ineqs):
                         break
                 if not ok:
                     continue
-                vp, vn = vdot(c, p[0]), vdot(c, n[0])
-                vec = tuple(vp * y - vn * x for x, y in zip(p[0], n[0]))
+                vec = primitive([vp * y - vn * x
+                                 for x, y in zip(p[0], n[0])])
                 new.append([vec, common | (1 << nproc)])
         for r in Z:
             r[1] |= 1 << nproc
         if is_eq:
             rays = Z + new
         else:
-            rays = P + Z + new
+            rays = [r for r, _ in P] + Z + new
         nproc += 1
     out_lines = [primitive_signed(l) for l in lines]
     out_rays = []
     seen = set()
     for r in rays:
-        v = primitive(r[0])
+        v = r[0]
         if not is_zero_vec(v) and v not in seen:
             seen.add(v)
             out_rays.append(v)
@@ -127,7 +136,7 @@ class HCone:
     def _derive(self, lines, rays):
         """Canonical data from the cone's generators and its H-form."""
         gens = lines + rays
-        dim = rank(gens) if gens else 0
+        dim = rank(gens)
         # implicit equalities: inequalities tight on every generator
         all_eqs = list(self.eqs)
         facets_src = []
@@ -136,15 +145,14 @@ class HCone:
                 all_eqs.append(c)
             else:
                 facets_src.append(c)
-        red, pivots = rref(all_eqs) if all_eqs else ([], [])
+        red, pivots = rref(all_eqs)
         eq_basis = sorted(primitive_signed(r) for r in red)
         facets = []
         seen = set()
         for c in facets_src:
             # facet iff its tight generators span a (dim-1)-space
             tight = [g for g in gens if vdot(c, g) == 0]
-            tight_rank = rank(tight) if tight else 0
-            if tight_rank == dim - 1:
+            if rank(tight) == dim - 1:
                 key = primitive(reduce_mod_rowspace(c, red, pivots))
                 if not is_zero_vec(key) and key not in seen:
                     seen.add(key)
@@ -201,7 +209,7 @@ class HCone:
     def relint_point(self):
         """Sum of the extreme rays (the origin for a linear subspace)."""
         c = self._canonicalize()
-        pt = [QQ(0)] * self.ambient
+        pt = [0] * self.ambient
         for r in c["rays"]:
             pt = [a + b for a, b in zip(pt, r)]
         return tuple(pt)
@@ -251,14 +259,10 @@ class HCone:
 def cone_from_rays(ambient, rays, lines=()):
     """V-to-H conversion by double description in the dual: the polar of a
     finitely generated cone is an H-cone, so its generators are the facets."""
-    gens = [tuple(QQ(x) for x in r) for r in rays]
-    lsp = [tuple(QQ(x) for x in l) for l in lines]
-    # polar: {c : c.l = 0, c.r >= 0}
-    plines, prays = _dd_generators(ambient, lsp, gens)
-    # polar generators give inequalities (rays) and equalities (lines)
-    ineqs = list(prays)
-    eqs = list(plines)
-    return HCone(ambient, ineqs, eqs)
+    # polar: {c : c.l = 0, c.r >= 0}; its rays give the inequalities and
+    # its lines the equalities
+    plines, prays = _dd_generators(ambient, lines, rays)
+    return HCone(ambient, prays, plines)
 
 
 def assemble_closed_fan(cones):
@@ -317,25 +321,16 @@ class RationalPolyhedron:
 
     __slots__ = ("ambient", "E", "rays")
 
-    def __init__(self, ambient, points, rays, minimize=True):
+    def __init__(self, ambient, points, rays):
         self.ambient = ambient
         self.rays = [primitive(r) for r in rays]
-        pts = [tuple(QQ(x) for x in p) for p in points]
-        if minimize:
-            pts = self._minimize(pts)
-        self.E = sorted(set(pts))
-
-    def _minimize(self, pts):
         # the recession cones in use are pointed, so dominance is a strict
         # partial order and dropping dominated points is unambiguous
-        rcone = cone_from_rays(self.ambient, self.rays)
-        pts = sorted(set(pts))
-        out = []
-        for v in pts:
-            if not any(u != v and rcone.contains(
-                    tuple(x - y for x, y in zip(v, u))) for u in pts):
-                out.append(v)
-        return out
+        rcone = cone_from_rays(ambient, self.rays)
+        pts = sorted(set(points))
+        self.E = [v for v in pts if not any(
+            u != v and rcone.contains(tuple(x - y for x, y in zip(v, u)))
+            for u in pts)]
 
     def __eq__(self, other):
         return (isinstance(other, RationalPolyhedron)

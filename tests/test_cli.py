@@ -390,3 +390,45 @@ def test_cli_rejects_a_vector_of_the_wrong_shape(capsys, argv, stmt,
     text = CUSP.replace("local-fan", "global-fan") + stmt + "\n"
     assert run_cli(argv, text) == (2, b"")
     assert message in capsys.readouterr().err
+
+
+def _cusp_with_ray(ray):
+    def make():
+        doc = _cusp_document()
+        doc["cones"][0]["rays"][0] = ray
+        return json.dumps(doc)
+    return make
+
+
+@pytest.mark.parametrize("make, message", [
+    # a large parameter_dim with no subspace rows behind it
+    (lambda: '{"parameter_dim":60,"cones":[{"rays":[],"lineality":[]}],'
+             '"incidence":[]}', "'subspace_rows'"),
+    (lambda: '{"parameter_dim":120,"cones":[{"rays":[],"lineality":[]}],'
+             '"incidence":[]}', "'subspace_rows'"),
+    (_cusp_with_ray([float("inf"), 0]), "lists of 2 integers"),
+    (_cusp_with_ray(["1/2", 0]), "lists of 2 integers"),
+    (_cusp_with_ray([-2, -3, 0]), "lists of 2 integers"),
+    (_cusp_with_ray([True, 0]), "lists of 2 integers"),
+    (_cusp_with_ray([-2.0, -3]), "lists of 2 integers"),
+], ids=["dim-60", "dim-120", "entry-infinity", "entry-string", "ray-arity",
+        "entry-bool", "entry-float"])
+def test_check_fan_rejects_a_hostile_document_at_its_boundary(capsys, make,
+                                                              message):
+    text = make()
+    t0 = time.monotonic()
+    code, out = run_cli(["--mode", "check-fan"], text)
+    assert time.monotonic() - t0 < 1.0
+    assert (code, out) == (2, b"")
+    err = capsys.readouterr().err
+    assert "malformed fan document" in err and message in err
+
+
+def test_check_fan_requires_one_subspace_row_per_parameter():
+    doc = _cusp_document()
+    doc["parameter_dim"] = 3
+    with pytest.raises(ParseError, match="parameter_dim"):
+        check_fan_document(doc)
+    doc["parameter_dim"] = True
+    with pytest.raises(ParseError, match="parameter_dim"):
+        check_fan_document(doc)

@@ -158,6 +158,36 @@ def test_faces_of_a_canonicalized_cone_run_no_double_description(
     assert {f.key() for f in c.faces()} == set(_oracle_faces(c))
 
 
+def test_double_description_reads_each_pairing_once(monkeypatch):
+    # 40 unit equations in ambient 40: equation k pairs with the 40 - k
+    # lines left, 40 * 41 / 2 = 820 products in all, and eliminating a
+    # line reuses its pairing
+    n = 40
+    calls = []
+    dot = polyhedra.vdot
+
+    def counting(a, b):
+        calls.append(None)
+        return dot(a, b)
+
+    monkeypatch.setattr(polyhedra, "vdot", counting)
+    eqs = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    lines, rays = polyhedra._dd_generators(n, eqs, [])
+    assert (lines, rays) == ([], [])
+    assert len(calls) <= n * (n + 1) // 2
+
+
+def test_double_description_returns_primitive_integer_generators():
+    rng = random.Random(5)
+    for _ in range(50):
+        a = rng.randint(2, 4)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(a))
+                for _ in range(rng.randint(0, 5))]
+        lines, rays = polyhedra._dd_generators(a, rows[:1], rows[1:])
+        for v in lines + rays:
+            assert all(type(x) is int for x in v) and v == primitive(v)
+
+
 def test_intersection():
     a = HCone(2, [(1, 0)])
     b = HCone(2, [(-1, 1)])
