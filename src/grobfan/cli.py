@@ -18,12 +18,13 @@ are written `p/q`; `*` is optional between a coefficient and a variable.
 import argparse
 import hashlib
 import json
+import re
 import sys
 from math import prod
 
 from . import __version__
 from .rational import QQ, qstr
-from .rings import RingSignature, Element, POLY, WEYL
+from .rings import RingSignature, Element, POLY, WEYL, LIFTS
 from .groebner import Ideal, homogenized_ideal
 from .polyhedra import (HCone, cone_from_rays, validate_fan,
                         FanValidationError, newton_polyhedron, normal_fan)
@@ -35,13 +36,16 @@ from .localfan import (assemble_local_fan, translate_base_point,
 MODES = ("global-fan", "local-fan", "normal-fan", "compare-initials",
          "check-fan")
 REGIONS = ("uloc", "upos", "uglob", "wloc", "wglob")
-HOMOGENIZATIONS = ("alpha", "h11", "double", "auto")
+HOMOGENIZATIONS = sum(LIFTS.values(), ()) + ("auto",)
 # largest exponent `^k` the parser expands; higher powers are rejected
 # before any multiplication
 MAX_EXPONENT = 100
 # most terms one product in the parser may produce before like terms
 # combine; a larger product is rejected before it is multiplied out
 MAX_TERMS = 10000
+# the shape of a rational as qstr writes it; a string of another shape
+# (an exponent such as 1e-99999999 included) is never parsed
+_QSTR = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 class ParseError(Exception):
@@ -395,15 +399,17 @@ def _subspace(spec, mode):
 
 def _lift(spec, mode):
     """The lift the run computes in (`auto`: the first allowed; None for
-    normal-fan).  Local runs lift by the default grading, so only a poly
-    global fan takes `alpha:`.  An unused setting is a ParseError."""
+    normal-fan).  A global fan takes any lift of its ring kind in
+    rings.LIFTS, by default the last (h11 for a Weyl ring); a local run
+    lifts by the first, the local lift, so only a poly global fan takes
+    `alpha:`.  An unused setting is a ParseError."""
     kind = spec.sig.kind
     if mode == "normal-fan":
         lifts = ()
-    elif kind == POLY:
-        lifts = ("alpha",)
+    elif mode == "global-fan":
+        lifts = LIFTS[kind][::-1]
     else:
-        lifts = ("h11", "double") if mode == "global-fan" else ("double",)
+        lifts = LIFTS[kind][:1]
     h = spec.homogenization
     if h != "auto" and h not in lifts:
         raise ParseError("homogenization %s is not used by %s on a %s ring "
@@ -482,7 +488,7 @@ def _fan_document(mode, S, cones, annotations, classes, text):
     return doc
 
 
-def run(spec, text="", validate=False, check=False):
+def run(spec, text="", validate=False):
     """Dispatch the parsed problem and return the result document."""
     mode = spec.mode
     if mode is None:
@@ -505,7 +511,7 @@ def run(spec, text="", validate=False, check=False):
                              % sig.weight_dim)
         w1, w2 = (tuple(QQ(x) for x in w) for w in spec.weights)
         try:
-            equal = local_initials_equal(ideal, w1, w2, check=check)
+            equal = local_initials_equal(ideal, w1, w2)
         except ValueError as e:
             raise ComputationError(str(e))
         return {
@@ -533,7 +539,7 @@ def run(spec, text="", validate=False, check=False):
         return _fan_document(mode, Sfull, cones, {}, None, text)
 
     if mode == "local-fan":
-        lf = assemble_local_fan(ideal, S, check=check)
+        lf = assemble_local_fan(ideal, S)
         annotations = {}
         classes = []
         for ci, cl in enumerate(sorted(
@@ -553,7 +559,7 @@ def run(spec, text="", validate=False, check=False):
 
     # global-fan
     hid = homogenized_ideal(ideal, mode=lift, alpha=spec.alpha)
-    maximal = enumerate_cones(hid, S, check=check)
+    maximal = enumerate_cones(hid, S)
     cones = assemble_closed_fan([gc.cone for gc in maximal])
     if validate:
         ok, problems = validate_fan(cones)
@@ -594,15 +600,29 @@ def emit(doc, fmt="json"):
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def _is_qstr(s):
+    """True iff s is a string qstr writes: the rational it parses to."""
+    return (type(s) is str and _QSTR.fullmatch(s) is not None
+            and qstr(QQ(s)) == s)
+
+
 def check_fan_document(doc):
     """Rebuild the cones of a fan document from their rays, check that the
     recorded cone data and incidence agree with the rebuilt cones, and
     revalidate the fan axioms.  Returns (ok, list of problem strings)."""
     try:
         ambient = doc["parameter_dim"]
-        if type(ambient) is not int or ambient != len(doc["subspace_rows"]):
+        rows = doc["subspace_rows"]
+        if type(ambient) is not int or ambient != len(rows):
             raise ValueError("parameter_dim must be the number of "
                              "subspace rows")
+        n = doc["ambient_dim"]
+        if type(n) is not int or n < 0 or any(
+                type(r) is not list or len(r) != n
+                or not all(map(_is_qstr, r)) for r in rows):
+            raise ValueError("ambient_dim must be a nonnegative int and "
+                             "subspace_rows lists of %r rationals written "
+                             "p or p/q in lowest terms" % (n,))
         for rec in doc["cones"]:
             for v in rec["rays"] + rec["lineality"]:
                 if (type(v) is not list or len(v) != ambient

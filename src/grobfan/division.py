@@ -84,18 +84,9 @@ def divide(p, divisors, order, check=False):
     return quotients, remainder
 
 
-def _ecart(p, order):
-    e, _ = leading_data(p, order)
-    return max(sum(t) for t in p.terms) - sum(e)
-
-
-def _block_monomial(sig, m, allowed_block):
-    """True iff the multiplier exponent m is a pure x-monomial supported on
-    the allowed block."""
-    for i, x in enumerate(m):
-        if x and (i >= sig.n or i not in allowed_block):
-            return False
-    return True
+def _ecart(p, e):
+    """Ecart of p with leading exponent e: its top total degree minus e's."""
+    return max(map(sum, p.terms)) - sum(e)
 
 
 def _unit_multiplier(sig, m, allowed_block, order):
@@ -103,9 +94,9 @@ def _unit_multiplier(sig, m, allowed_block, order):
     is either supported on the allowed block or strictly below 1 under the
     order, so the accumulated unit stays invertible in the order's
     localization."""
-    if any(x for i, x in enumerate(m) if i >= sig.n):
+    if any(m[sig.n:]):
         return False
-    if _block_monomial(sig, m, allowed_block):
+    if all(i in allowed_block for i, x in enumerate(m) if x):
         return True
     return order.key(m) < order.key((0,) * sig.nslots)
 
@@ -133,6 +124,7 @@ def mora_divide(f, divisors, order, allowed_block, check=False):
         if g.is_zero():
             raise ValueError("zero divisor")
         dlexps.append(leading_data(g, order)[0])
+    decarts = [_ecart(g, ge) for g, ge in zip(divisors, dlexps)]
     # stored intermediates as (element, lexp, ecart, unit-part, quotient-parts)
     inter = []
     h = f
@@ -145,11 +137,9 @@ def mora_divide(f, divisors, order, allowed_block, check=False):
             raise RuntimeError("ecart division exceeded its step budget")
         e, c = leading_data(h, order)
         best = None  # (ecart, class, idx)
-        for j, (g, ge) in enumerate(zip(divisors, dlexps)):
-            if _divides(ge, e):
-                ec = _ecart(g, order)
-                if best is None or ec < best[0]:
-                    best = (ec, 0, j)
+        for j, (ge, ec) in enumerate(zip(dlexps, decarts)):
+            if _divides(ge, e) and (best is None or ec < best[0]):
+                best = (ec, 0, j)
         for j, (t, te, tec, _, _) in enumerate(inter):
             if _divides(te, e) and _unit_multiplier(
                     sig, tuple(x - y for x, y in zip(e, te)), allowed_block,
@@ -158,7 +148,7 @@ def mora_divide(f, divisors, order, allowed_block, check=False):
                     best = (tec, 1, j)
         if best is None:
             break
-        ec_h = _ecart(h, order)
+        ec_h = _ecart(h, e)
         if best[0] > ec_h:
             inter.append((h, e, ec_h, uh, list(qh)))
         if best[1] == 0:

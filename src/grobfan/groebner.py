@@ -2,7 +2,7 @@
 standard bases of local ideals obtained by dehomogenization."""
 
 from .rational import QQ
-from .rings import Element, POLY, WEYL, homogenize, dehomogenize
+from .rings import Element, LIFTS, LIFT_TABLE, homogenize, dehomogenize
 from .orders import leading_data, groebner_order, grading_row, MatrixOrder
 from .division import divide, _divides
 
@@ -146,26 +146,27 @@ def membership(p, basis, order, check=False):
 
 def homogenized_ideal(ideal, mode=None, alpha=None):
     """Lift an ideal into the homogenized signature used for basis
-    computations: alpha for commutative input, h11 or h01+double for Weyl
-    input (mode picks which; default alpha / double).  Any other mode, or
-    alpha weights for a Weyl ring, raise ValueError.
+    computations: mode is one of the lifts rings.LIFTS lists for the ring
+    kind (default its first: alpha for commutative input, double for Weyl
+    input), reached through the lift's source (h01 before double).  Any
+    other mode, or alpha weights for a lift graded without them, raise
+    ValueError.
 
     The result is the generator lift J = <H(f_1), ..., H(f_r)> of the
     given generators f_i.  It depends on the generating set: two
     generating sets of one ideal I can lift to different ideals with
     different Groebner fans.  saturate_h(J) gives H(I) = J : h^inf, which
     depends on I only."""
-    sig = ideal.sig
-    if sig.kind == POLY and mode in (None, "alpha"):
-        gens = [homogenize(g, "alpha", alpha=alpha) for g in ideal.generators]
-    elif sig.kind == WEYL and alpha is None and mode == "h11":
-        gens = [homogenize(g, "h11") for g in ideal.generators]
-    elif sig.kind == WEYL and alpha is None and mode in (None, "double"):
-        gens = [homogenize(homogenize(g, "h01"), "double")
-                for g in ideal.generators]
-    else:
-        raise ValueError("a %s ring has no lift for mode %r, alpha %r"
-                         % (sig.kind, mode, alpha))
+    lifts = LIFTS[ideal.sig.kind]
+    mode = mode or lifts[0]
+    if mode not in lifts:
+        raise ValueError("a %s ring has no lift %r (it has %s)"
+                         % (ideal.sig.kind, mode, " and ".join(lifts)))
+    gens = ideal.generators
+    source = LIFT_TABLE[mode].source
+    if source != "none":
+        gens = [homogenize(g, source) for g in gens]
+    gens = [homogenize(g, mode, alpha=alpha) for g in gens]
     return Ideal(gens[0].sig, gens)
 
 
@@ -188,11 +189,12 @@ def saturate_h(ideal):
     Bayer's method: take the reduced basis of J under saturation_order
     and divide each element by the largest power of h dividing it.  This
     holds in the homogenized Weyl algebra too, because h is central.  The
-    double lift has two homogenization variables and is rejected."""
+    double lift has two homogenization variables and is rejected, and an
+    h01 signature has no saturation_order."""
     sig = ideal.sig
-    if sig.homog not in ("alpha", "h11"):
-        raise ValueError("saturation is defined for the alpha and h11 "
-                         "lifts, not for %s/%s" % (sig.kind, sig.homog))
+    if len(sig.commutator) != 1:
+        raise ValueError("saturation needs a lift with one h slot, not %s/%s"
+                         % (sig.kind, sig.homog))
     if not all(g.is_homogeneous() for g in ideal.generators):
         raise ValueError("saturation needs homogeneous generators")
     order = saturation_order(sig)
@@ -208,9 +210,8 @@ def saturate_h(ideal):
 
 def dehomogenized_basis(basis):
     """The nonzero images of a lifted basis under substituting 1 for the
-    variable the lift added last (h for alpha and h11, h2 for double)."""
-    which = "h2" if basis[0].sig.has_h2 else "h"
-    out = (dehomogenize(g, which) for g in basis)
+    variable the lift added last (h for alpha and h11, h' for double)."""
+    out = (dehomogenize(g) for g in basis)
     return [d for d in out if not d.is_zero()]
 
 

@@ -62,13 +62,15 @@ def _neg_alpha_row(sig):
 
 
 def grading_row(sig):
-    """The grading under which the lifted generators of a homogenized
-    signature are homogeneous: alpha and 1 on h, or all ones."""
-    if sig.homog == "alpha":
-        return tuple(sig.alpha) + (1,)
-    if sig.homog in ("h11", "double"):
-        return (1,) * sig.nslots
-    raise ValueError("Groebner orders exist only on homogenized signatures")
+    """The grading of a lifted signature, under which its lifted generators
+    are homogeneous.  It must weigh every slot positively: then each degree
+    holds finitely many monomials and an order led by it is a well order.
+    Unlifted and h01 signatures have no such grading."""
+    g = sig.grading
+    if g is None or min(g) <= 0:
+        raise ValueError("Groebner orders need a grading positive on every "
+                         "slot; %r has none" % (sig,))
+    return g
 
 
 def groebner_order(sig, *ws):
@@ -76,7 +78,7 @@ def groebner_order(sig, *ws):
     turn (each lives on the x/d blocks; h slots weigh zero).  Used for all
     reduced Groebner basis computations."""
     rows = [grading_row(sig)] + [sig.slot_weight(w) for w in ws]
-    if sig.homog == "double":
+    if sig.has_h2:
         rows += [_beta_k_row(sig), _beta_row(sig), _neg_alpha_row(sig)]
     return MatrixOrder(sig.nslots, rows)
 

@@ -198,13 +198,11 @@ class HCone:
                 and all(vdot(c, x) >= 0 for c in self.ineqs))
 
     def strictly_contains(self, x):
-        """x in the relative interior: all facets strictly positive."""
+        """x in the relative interior: on the linear span (every canonical
+        equation vanishes) and strictly positive on every facet."""
         c = self._canonicalize()
-        if not self.contains(x):
-            return False
-        if any(vdot(f, x) != 0 for f in c["eqs"]):
-            return False
-        return all(vdot(f, x) > 0 for f in c["facets"])
+        return (all(vdot(f, x) == 0 for f in c["eqs"])
+                and all(vdot(f, x) > 0 for f in c["facets"]))
 
     def relint_point(self):
         """Sum of the extreme rays (the origin for a linear subspace)."""

@@ -1,48 +1,70 @@
 """Elements of polynomial rings and (homogenized) Weyl algebras.
 
-Supported rings, selected by a signature:
+A signature names a ring kind, `poly` (k[x1..xn]) or `weyl` (the Weyl
+algebra, di*xi = xi*di + 1), and a homogenization: `none`, or one of the
+lifts in LIFT_TABLE.  A lift adds one slot to the ring it starts from.
+The table records, for each lift, its source ring (kind and
+homogenization), its grading (the weights under which every lifted element
+is homogeneous: each x by alpha or by a constant, each d and each h slot
+by 1) and its commutator (the power of each h slot in di*xi - xi*di):
 
-  * poly/none    k[x1..xn]
-  * poly/alpha   k[x1..xn, h]        (weighted homogenization variable)
-  * weyl/none    the Weyl algebra,   di*xi = xi*di + 1
-  * weyl/h01     homogenized,        di*xi = xi*di + h
-  * weyl/h11     homogenized,        di*xi = xi*di + h^2
-  * weyl/double  doubly homogenized, di*xi = xi*di + h*h2
+    lift     source      grading on x, d, h, h'    di*xi - xi*di
+    alpha    poly/none   alpha, -, 1, -            (no d)
+    h01      weyl/none   0, 1, 1, -                h
+    h11      weyl/none   1, 1, 1, -                h^2
+    double   weyl/h01    1, 1, 1, 1                h*h'
+
+`RingSignature.grading` and `.commutator` are read from the table, and
+every layer reads them rather than the lift's name.  LIFTS lists the lifts
+each ring kind computes in; the first is the default and the local lift.
+h01 is computed in only as the first step of `double`.
 
 Elements store a finite map from normally ordered exponent vectors
-(x-block, d-block, h, h2) to nonzero rational coefficients and are
-immutable by convention.  h2 denotes the second homogenization variable
-(printed as h').
+(x-block, d-block, h, h') to nonzero rational coefficients and are
+immutable by convention.  h' is the second homogenization variable.
 """
 
+from collections import namedtuple
 from math import comb, factorial
 from itertools import product
+from operator import mul
 
 from .rational import QQ, qstr
 
 POLY = "poly"
 WEYL = "weyl"
 
-_VALID = {
-    (POLY, "none"), (POLY, "alpha"),
-    (WEYL, "none"), (WEYL, "h01"), (WEYL, "h11"), (WEYL, "double"),
+# One row per homogenization: the ring kind it lifts, the homogenization of
+# its source ring, the grading weight of each x (None: the signature's alpha
+# weights; each d and each h slot weighs 1), and the power of each h slot of
+# the lifted ring (h, then h') in d_i*x_i - x_i*d_i.
+Lift = namedtuple("Lift", "kind source x_weight commutator")
+LIFT_TABLE = {
+    "alpha": Lift(POLY, "none", None, (0,)),
+    "h01": Lift(WEYL, "none", 0, (1,)),
+    "h11": Lift(WEYL, "none", 1, (2,)),
+    "double": Lift(WEYL, "h01", 1, (1, 1)),
 }
+LIFTS = {POLY: ("alpha",), WEYL: ("double", "h11")}
 
 
 class RingSignature:
-    __slots__ = ("n", "kind", "homog", "alpha", "names")
+    __slots__ = ("n", "kind", "homog", "alpha", "names", "grading",
+                 "commutator")
 
     def __init__(self, n, kind, homog="none", alpha=None, names=None):
-        if (kind, homog) not in _VALID:
+        lift = LIFT_TABLE.get(homog)
+        known = lift.kind == kind if lift else homog == "none"
+        if kind not in LIFTS or not known:
             raise ValueError("bad ring signature %s/%s" % (kind, homog))
-        if homog == "alpha":
+        if lift and lift.x_weight is None:
             if alpha is None:
                 alpha = (1,) * n
             alpha = tuple(int(a) for a in alpha)
             if len(alpha) != n or any(a <= 0 for a in alpha):
                 raise ValueError("alpha must be %d positive integers" % n)
-        else:
-            alpha = None
+        elif alpha is not None:
+            raise ValueError("a %s/%s ring takes no alpha" % (kind, homog))
         self.n = n
         self.kind = kind
         self.homog = homog
@@ -50,6 +72,11 @@ class RingSignature:
         self.names = tuple(names) if names else tuple("x%d" % (i + 1) for i in range(n))
         if len(self.names) != n:
             raise ValueError("need %d variable names" % n)
+        self.commutator = lift.commutator if lift else ()
+        self.grading = None
+        if lift:
+            xs = alpha if lift.x_weight is None else (lift.x_weight,) * n
+            self.grading = xs + (1,) * (self.nslots - n)
 
     # --- slot layout ------------------------------------------------
     @property
@@ -58,30 +85,23 @@ class RingSignature:
 
     @property
     def has_h(self):
-        return self.homog != "none"
+        return bool(self.commutator)
 
     @property
     def has_h2(self):
-        return self.homog == "double"
+        return len(self.commutator) == 2
 
     @property
     def nslots(self):
-        base = 2 * self.n if self.has_d else self.n
-        return base + (1 if self.has_h else 0) + (1 if self.has_h2 else 0)
+        return self.weight_dim + len(self.commutator)
 
     @property
     def h_slot(self):
-        if not self.has_h:
-            return None
-        return 2 * self.n if self.has_d else self.n
-
-    @property
-    def h2_slot(self):
-        return self.h_slot + 1 if self.has_h2 else None
+        return self.weight_dim if self.commutator else None
 
     @property
     def weight_dim(self):
-        """Dimension of the weight space acting on x/d blocks (h, h2 always
+        """Dimension of the weight space acting on x/d blocks (h slots always
         carry weight zero)."""
         return 2 * self.n if self.has_d else self.n
 
@@ -89,11 +109,7 @@ class RingSignature:
         out = list(self.names)
         if self.has_d:
             out += ["d" + s for s in self.names]
-        if self.has_h:
-            out.append("h")
-        if self.has_h2:
-            out.append("h'")
-        return out
+        return out + ["h", "h'"][:len(self.commutator)]
 
     def slot_weight(self, w):
         """Extend an (x,d)-block weight vector by zeros on h slots."""
@@ -101,7 +117,7 @@ class RingSignature:
         if len(w) != self.weight_dim:
             raise ValueError("weight vector has arity %d, expected %d"
                              % (len(w), self.weight_dim))
-        return w + (0,) * (self.nslots - self.weight_dim)
+        return w + (0,) * len(self.commutator)
 
     def key(self):
         return (self.n, self.kind, self.homog, self.alpha, self.names)
@@ -222,8 +238,8 @@ class Element:
                         out[e] = s
             return Element(sig, out)
         n = sig.n
-        hs, h2s = sig.h_slot, sig.h2_slot
-        homog = sig.homog
+        # each h slot gains its commutator power per commutation
+        hslots = tuple(zip(range(2 * n, sig.nslots), sig.commutator))
         for e1, c1 in self.terms.items():
             b = e1[n:2 * n]
             for e2, c2 in other.terms.items():
@@ -240,18 +256,8 @@ class Element:
                         e[i] += cc[i] - k[i]
                         e[n + i] += e2[n + i] - k[i]
                     tot = sum(k)
-                    if hs is not None:
-                        e[hs] += e2[hs]
-                    if h2s is not None:
-                        e[h2s] += e2[h2s]
-                    if tot:
-                        if homog == "h01":
-                            e[hs] += tot
-                        elif homog == "h11":
-                            e[hs] += 2 * tot
-                        elif homog == "double":
-                            e[hs] += tot
-                            e[h2s] += tot
+                    for j, c in hslots:
+                        e[j] += e2[j] + c * tot
                     e = tuple(e)
                     s = out.get(e, 0) + coeff
                     if s == 0:
@@ -263,28 +269,13 @@ class Element:
     __rmul__ = scale
 
     # --- degrees and weights ----------------------------------------
-    def deg01(self, exp):
-        """|d-block| + h exponent (the grading used by the h01 lift)."""
-        sig = self.sig
-        s = sum(exp[sig.n:2 * sig.n]) if sig.has_d else 0
-        if sig.has_h:
-            s += exp[sig.h_slot]
-        return s
-
     def is_homogeneous(self):
-        sig = self.sig
-        if not self.terms:
-            return True
-        if sig.homog == "h01":
-            degs = {self.deg01(e) for e in self.terms}
-        elif sig.homog in ("h11", "double"):
-            degs = {sum(e) for e in self.terms}
-        elif sig.homog == "alpha":
-            a = sig.alpha + (1,)
-            degs = {sum(x * y for x, y in zip(e, a)) for e in self.terms}
-        else:
-            return False
-        return len(degs) == 1
+        """True iff all terms have one degree under the signature's grading;
+        in an unlifted ring, only zero is."""
+        g = self.sig.grading
+        if g is None:
+            return not self.terms
+        return len({sum(map(mul, g, e)) for e in self.terms}) <= 1
 
     def weight_order(self, slot_w):
         if not self.terms:
@@ -316,74 +307,35 @@ class Element:
 
 # --- homogenization maps -------------------------------------------------
 
-def _map_sig(sig, homog, alpha=None):
-    return RingSignature(sig.n, sig.kind, homog, alpha=alpha, names=sig.names)
-
-
 def homogenize(p, mode, alpha=None):
-    """Homogenize an element into the matching homogenized ring.
-
-    h01:   pad with h so every term has d-degree + h-degree = max d-degree.
-    h11:   pad with h up to the maximal total degree.
-    double: input must live in the h01 ring; pad with h' up to the maximal
-            total degree (h' and h both count 1).
-    alpha: weighted homogenization of a commutative polynomial.
-    """
+    """Lift p by the homogenization `mode` of LIFT_TABLE into the ring it
+    names: the added slot pads each term up to the top degree under the
+    lift's grading.  alpha weights are for the alpha lift; any other lift
+    rejects them."""
+    lift = LIFT_TABLE.get(mode)
+    if lift is None:
+        raise ValueError("unknown homogenization mode %r" % (mode,))
     sig = p.sig
-    if mode in ("h01", "h11"):
-        if sig.kind != WEYL or sig.homog != "none":
-            raise ValueError("h01/h11 homogenization expects a plain Weyl element")
-        tgt = _map_sig(sig, mode)
-        n = sig.n
-        if not p.terms:
-            return Element.zero(tgt)
-        if mode == "h01":
-            deg = max(sum(e[n:2 * n]) for e in p.terms)
-            return Element(tgt, {e + (deg - sum(e[n:2 * n]),): c
-                                 for e, c in p.terms.items()})
-        deg = max(sum(e) for e in p.terms)
-        return Element(tgt, {e + (deg - sum(e),): c for e, c in p.terms.items()})
-    if mode == "double":
-        if sig.kind != WEYL or sig.homog != "h01":
-            raise ValueError("double homogenization expects an h01 element")
-        tgt = _map_sig(sig, "double")
-        if not p.terms:
-            return Element.zero(tgt)
-        deg = max(sum(e) for e in p.terms)
-        return Element(tgt, {e + (deg - sum(e),): c for e, c in p.terms.items()})
-    if mode == "alpha":
-        if sig.kind != POLY or sig.homog != "none":
-            raise ValueError("alpha homogenization expects a commutative polynomial")
-        if alpha is None:
-            alpha = (1,) * sig.n
-        tgt = _map_sig(sig, "alpha", alpha=alpha)
-        if not p.terms:
-            return Element.zero(tgt)
-        deg = max(sum(a * x for a, x in zip(alpha, e)) for e in p.terms)
-        return Element(tgt, {
-            e + (deg - sum(a * x for a, x in zip(alpha, e)),): c
-            for e, c in p.terms.items()})
-    raise ValueError("unknown homogenization mode %r" % (mode,))
+    if (sig.kind, sig.homog) != (lift.kind, lift.source):
+        raise ValueError("%s homogenization expects a %s/%s element"
+                         % (mode, lift.kind, lift.source))
+    tgt = RingSignature(sig.n, sig.kind, mode, alpha=alpha, names=sig.names)
+    degs = {e: sum(map(mul, tgt.grading, e)) for e in p.terms}
+    top = max(degs.values(), default=0)
+    return Element(tgt, {e + (top - degs[e],): c for e, c in p.terms.items()})
 
 
-def dehomogenize(p, which="h"):
-    """Substitute 1 for h (or h') and drop the slot."""
+def dehomogenize(p):
+    """Invert the lift of p's signature: substitute 1 for the slot it added
+    (the last one) and land in its source ring."""
     sig = p.sig
-    if which == "h":
-        if not sig.has_h or sig.has_h2:
-            raise ValueError("no h to substitute here")
-        tgt = _map_sig(sig, "none")
-        drop = sig.h_slot
-    elif which == "h2":
-        if not sig.has_h2:
-            raise ValueError("no h' to substitute here")
-        tgt = _map_sig(sig, "h01")
-        drop = sig.h2_slot
-    else:
-        raise ValueError("which must be 'h' or 'h2'")
+    lift = LIFT_TABLE.get(sig.homog)
+    if lift is None:
+        raise ValueError("%r is not a lifted ring" % (sig,))
+    tgt = RingSignature(sig.n, sig.kind, lift.source, names=sig.names)
     out = {}
     for e, c in p.terms.items():
-        k = e[:drop] + e[drop + 1:]
+        k = e[:-1]
         s = out.get(k, 0) + c
         if s == 0:
             out.pop(k, None)

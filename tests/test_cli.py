@@ -432,3 +432,63 @@ def test_check_fan_requires_one_subspace_row_per_parameter():
     doc["parameter_dim"] = True
     with pytest.raises(ParseError, match="parameter_dim"):
         check_fan_document(doc)
+
+
+def _cusp_with(edit):
+    def make():
+        doc = _cusp_document()
+        edit(doc)
+        return json.dumps(doc)
+    return make
+
+
+def _set(field, value):
+    return _cusp_with(lambda doc: doc.__setitem__(field, value))
+
+
+def _row_entry(value):
+    return _cusp_with(lambda doc: doc["subspace_rows"][0].__setitem__(0,
+                                                                     value))
+
+
+@pytest.mark.parametrize("make", [
+    _set("subspace_rows", [None, None]),
+    _set("ambient_dim", "zz"),
+    _set("ambient_dim", True),
+    _set("ambient_dim", 3),
+    _set("ambient_dim", -1),
+    _row_entry("1/0"),
+    _row_entry("2/4"),
+    _row_entry("01"),
+    _row_entry("-0"),
+    _row_entry("1/1"),
+    _row_entry(" 1"),
+    _row_entry("1e-2000000"),
+    _row_entry("9" * 5000),
+    _row_entry(1),
+    _row_entry(None),
+    _cusp_with(lambda doc: doc["subspace_rows"][0].append("0")),
+    _cusp_with(lambda doc: doc.pop("ambient_dim")),
+], ids=["rows-null", "ambient-string", "ambient-bool", "ambient-arity",
+        "ambient-negative", "entry-zero-denominator", "entry-not-lowest",
+        "entry-leading-zero", "entry-minus-zero", "entry-unit-denominator",
+        "entry-space", "entry-exponent", "entry-too-long", "entry-int",
+        "entry-null", "row-arity", "ambient-missing"])
+def test_check_fan_rejects_a_subspace_it_did_not_write(capsys, make):
+    # ambient_dim and subspace_rows must have the shape the output writes:
+    # an int, and parameter_dim rows of ambient_dim qstr strings
+    text = make()
+    t0 = time.monotonic()
+    code, out = run_cli(["--mode", "check-fan"], text)
+    assert time.monotonic() - t0 < 1.0
+    assert (code, out) == (2, b"")
+    assert "malformed fan document" in capsys.readouterr().err
+
+
+def test_check_fan_accepts_the_rational_rows_it_writes():
+    text = CUSP + "subspace: rows [[1/2, 0], [-1, -3/4]];\n"
+    code, out = run_cli([], text)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["subspace_rows"] == [["1/2", "0"], ["-1", "-3/4"]]
+    assert run_cli(["--mode", "check-fan"], out.decode()) == (0, out)

@@ -1,12 +1,13 @@
 """Matrix term orders: comparisons, well-order and local properties, and
 multiplicativity of leading exponents on the admissible regions."""
 
+import pytest
 from hypothesis import given, settings
 
 from grobfan.rational import QQ
 from grobfan.rings import RingSignature, Element
 from grobfan.orders import (MatrixOrder, degrevlex, groebner_order,
-                            local_order, leading_data)
+                            grading_row, local_order, leading_data)
 
 from hypothesis import strategies as st
 
@@ -217,3 +218,16 @@ def test_order_past_a_point_is_the_order_of_a_nearby_weight(case):
     for a in exps:
         for b in exps:
             assert past.compare(a, b) == near.compare(a, b)
+
+
+def test_grading_row_is_the_lift_grading_and_positive():
+    # an order led by a grading positive on every slot is a well order;
+    # unlifted and h01 signatures (x weighs 0) have no Groebner order
+    assert grading_row(_HOMOGENIZED[1]) == (1, 2, 1, 1)
+    assert grading_row(_HOMOGENIZED[3]) == (1,) * 6
+    for sig in (RingSignature(1, "weyl", "h01"), RingSignature(1, "weyl"),
+                RingSignature(2, "poly")):
+        with pytest.raises(ValueError):
+            grading_row(sig)
+        with pytest.raises(ValueError):
+            groebner_order(sig, (0,) * sig.weight_dim)

@@ -132,6 +132,32 @@ def test_facet_face_and_faces_match_double_description():
     assert lineal >= 20 and with_eqs >= 20
 
 
+def test_strictly_contains_needs_no_scan_of_the_h_form():
+    # the canonical equations and facets decide relative-interior
+    # membership: the same answer as also testing the raw H-form first, on
+    # relint points, rays, lines, sums of two rays and random points
+    rng = random.Random(11)
+    cones = [_random_cone(rng, trial) for trial in range(150)]
+    prng = random.Random(12)
+    inside = outside = 0
+    for c in cones:
+        rays, lines = c.rays(), c.lineality()
+        pts = [c.relint_point()] + rays + lines
+        pts += [tuple(-x for x in v) for v in rays + lines]
+        pts += [tuple(a + b for a, b in zip(r, s))
+                for r, s in combinations(rays, 2)]
+        pts += [tuple(prng.randint(-3, 3) for _ in range(c.ambient))
+                for _ in range(10)]
+        for x in pts:
+            raw = (c.contains(x)
+                   and all(vdot(f, x) == 0 for f in c.equation_basis())
+                   and all(vdot(f, x) > 0 for f in c.facet_covectors()))
+            assert c.strictly_contains(x) == raw, (c, x)
+            inside += raw
+            outside += not raw
+    assert inside >= 150 and outside >= 150
+
+
 def test_facet_face_rejects_a_non_facet():
     c = HCone(2, [(1, 0), (0, 1), (1, 1)])
     assert c.facet_face((1, 0)).dim == 1

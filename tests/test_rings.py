@@ -1,11 +1,13 @@
 """Ring arithmetic: normal ordering, homogenization, dehomogenization,
 translation."""
 
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grobfan.rational import QQ
 from grobfan.rings import (RingSignature, Element, homogenize, dehomogenize,
-                           translate)
+                           translate, LIFT_TABLE, LIFTS)
 
 from conftest import element_from, elements
 
@@ -91,7 +93,7 @@ def test_alpha_homogenize_cusp():
     ph = homogenize(p, "alpha")
     assert ph.is_homogeneous()
     assert str(ph) in ("x1^3 - x2^2*h", "-x2^2*h + x1^3")
-    assert dehomogenize(ph, "h") == p
+    assert dehomogenize(ph) == p
 
 
 def test_alpha_weighted():
@@ -100,7 +102,7 @@ def test_alpha_weighted():
     p = x * x * x - y * y
     ph = homogenize(p, "alpha", alpha=(2, 3))
     assert ph.is_homogeneous()
-    assert dehomogenize(ph, "h") == p
+    assert dehomogenize(ph) == p
 
 
 def test_h01_pads_by_d_degree():
@@ -111,7 +113,7 @@ def test_h01_pads_by_d_degree():
     assert ph.is_homogeneous()
     # exponents: d^2 stays, x*d gets h, 1 gets h^2
     assert set(ph.terms) == {(0, 2, 0), (1, 1, 1), (0, 0, 2)}
-    assert dehomogenize(ph, "h") == p
+    assert dehomogenize(ph) == p
 
 
 def test_h11_pads_by_total_degree():
@@ -130,15 +132,15 @@ def test_double_homogenize_round_trip():
     p01 = homogenize(p, "h01")
     pdd = homogenize(p01, "double")
     assert pdd.is_homogeneous()
-    assert dehomogenize(pdd, "h2") == p01
-    assert dehomogenize(dehomogenize(pdd, "h2"), "h") == p
+    assert dehomogenize(pdd) == p01
+    assert dehomogenize(dehomogenize(pdd)) == p
 
 
 @settings(max_examples=50, deadline=None)
 @given(elements(RingSignature(2, "weyl"), max_terms=4, max_deg=3))
 def test_homogenize_dehomogenize_inverse(p):
-    assert dehomogenize(homogenize(p, "h01"), "h") == p
-    assert dehomogenize(homogenize(p, "h11"), "h") == p
+    assert dehomogenize(homogenize(p, "h01")) == p
+    assert dehomogenize(homogenize(p, "h11")) == p
 
 
 @settings(max_examples=50, deadline=None)
@@ -161,6 +163,90 @@ def test_h11_homogenization_respects_products_up_to_h(f, g):
         else:
             rhs = rhs * h
     assert lhs == rhs
+
+
+# --- the lift table ------------------------------------------------------
+
+def _per_mode_padding(p, mode, alpha=None):
+    """The terms of the lift of p as the per-mode homogenization wrote
+    them: h01 pads by d-degree, h11 and double by total degree, alpha by
+    alpha-weighted degree."""
+    n = p.sig.n
+    if mode == "h01":
+        def deg(e):
+            return sum(e[n:2 * n])
+    elif mode in ("h11", "double"):
+        deg = sum
+    else:
+        a = alpha or (1,) * n
+
+        def deg(e):
+            return sum(x * y for x, y in zip(a, e))
+    top = max(deg(e) for e in p.terms)
+    return {e + (top - deg(e),): c for e, c in p.terms.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(elements(RingSignature(2, "poly"), max_terms=4, max_deg=3),
+       st.one_of(st.none(), st.tuples(st.integers(1, 4), st.integers(1, 4))),
+       elements(RingSignature(2, "weyl"), max_terms=4, max_deg=3),
+       elements(RingSignature(2, "weyl", "h01"), max_terms=4, max_deg=3))
+def test_homogenize_pads_as_each_mode_did(f, alpha, g, g01):
+    cases = [(f, "alpha", alpha), (g, "h01", None), (g, "h11", None),
+             (g01, "double", None)]
+    for p, mode, a in cases:
+        ph = homogenize(p, mode, alpha=a)
+        assert ph.sig.homog == mode
+        assert ph.terms == _per_mode_padding(p, mode, a)
+        assert ph.is_homogeneous()
+        assert dehomogenize(ph) == p
+
+
+def _lift(p, mode):
+    source = LIFT_TABLE[mode].source
+    return homogenize(homogenize(p, source) if source != "none" else p, mode)
+
+
+def _unlift(p):
+    while p.sig.homog != "none":
+        p = dehomogenize(p)
+    return p
+
+
+@settings(max_examples=40, deadline=None)
+@given(elements(RingSignature(2, "weyl"), max_terms=3, max_deg=2),
+       elements(RingSignature(2, "weyl"), max_terms=3, max_deg=2))
+def test_lifted_products_are_homogeneous_and_dehomogenize(f, g):
+    # the commutator power of each lift has the degree of d_i*x_i under
+    # its grading, so products of homogeneous lifts stay homogeneous, and
+    # substituting 1 for the h slots is a ring map back to D
+    for mode in ("h01", "h11", "double"):
+        prod = _lift(f, mode) * _lift(g, mode)
+        assert prod.sig.homog == mode
+        assert prod.is_homogeneous()
+        assert _unlift(prod) == f * g
+
+
+def test_lift_table_shapes_the_signatures():
+    assert set(LIFTS) == {"poly", "weyl"}
+    for kind, lifts in LIFTS.items():
+        assert all(LIFT_TABLE[m].kind == kind for m in lifts)
+    for mode, lift in LIFT_TABLE.items():
+        sig = RingSignature(2, lift.kind, mode)
+        source = RingSignature(2, lift.kind, lift.source)
+        assert sig.nslots == source.nslots + 1
+        assert sig.commutator == lift.commutator
+        assert len(sig.grading) == sig.nslots
+        assert sig.grading[sig.weight_dim:] == (1,) * len(sig.commutator)
+    assert RingSignature(2, "poly", "alpha", alpha=(2, 3)).grading == (2, 3, 1)
+    assert RingSignature(2, "weyl", "h01").grading == (0, 0, 1, 1, 1)
+    assert RingSignature(2, "weyl").grading is None
+    for bad in (("poly", "h11"), ("weyl", "alpha"), ("weyl", "h2"),
+                ("ring", "none")):
+        with pytest.raises(ValueError):
+            RingSignature(1, *bad)
+    with pytest.raises(ValueError):
+        RingSignature(1, "weyl", "h11", alpha=(1,))
 
 
 # --- translation ---------------------------------------------------------
