@@ -449,14 +449,8 @@ def _incidence(cones):
     """Facet-of pairs [i, j], sorted: cone j is a facet of cone i, for
     cones listed in id order."""
     key_to_id = {c.key(): i for i, c in enumerate(cones)}
-    pairs = []
-    for i, c in enumerate(cones):
-        for f in c.facet_covectors():
-            j = key_to_id.get(c.facet_face(f).key())
-            if j is not None:
-                pairs.append([i, j])
-    pairs.sort()
-    return pairs
+    return sorted([i, key_to_id[k]] for i, c in enumerate(cones)
+                  for k in c.facet_keys() if k in key_to_id)
 
 
 def _fan_document(mode, S, cones, annotations, classes, text):
@@ -637,7 +631,11 @@ def check_fan_document(doc):
     if not cones:
         return False, ["document has no cones"]
     problems = []
+    first = {}
     for i, (c, rec) in enumerate(zip(cones, doc["cones"])):
+        j = first.setdefault(c.key(), i)
+        if j != i:
+            problems.append("cones %d and %d are the same cone" % (j, i))
         expected = dict(_cone_record(c), id=i)
         for field, value in expected.items():
             if rec.get(field) != value:

@@ -176,17 +176,11 @@ def facet_on_border(cone, facet, S):
     return facet in S.region.facet_covectors()
 
 
-def facet_keys(cone):
-    """The keys of the cone's facet faces.  Two maximal cones of a fan meet
-    in a facet F exactly when both have F as a facet face."""
-    return [cone.facet_face(f).key() for f in cone.facet_covectors()]
-
-
 def flip(gc, facet, hideal, S, check=False):
     """Cross a facet of a maximal cone to the adjacent maximal cone: one
     completion under the order ranking by a relative-interior point of the
     facet first and by the crossing direction next."""
-    face = gc.cone.facet_face(facet)
+    face = gc.cone.facet_faces()[facet]
     d = _projected_direction(facet, gc.cone.equation_basis())
     if is_zero_vec(d):
         raise RuntimeError("degenerate flip direction")
@@ -219,14 +213,14 @@ def enumerate_cones(hideal, S, check=False):
     def add(gc):
         found.add(gc.key())
         queue.append(gc)
-        for key in facet_keys(gc.cone):
+        for key in gc.cone.facet_keys():
             holders.setdefault(key, []).append(gc)
 
     add(start)
     for gc in queue:  # breadth first: found cones are appended
-        for facet in gc.cone.facet_covectors():
-            if (facet_on_border(gc.cone, facet, S)
-                    or len(holders[gc.cone.facet_face(facet).key()]) > 1):
+        for facet, key in zip(gc.cone.facet_covectors(),
+                              gc.cone.facet_keys()):
+            if facet_on_border(gc.cone, facet, S) or len(holders[key]) > 1:
                 continue
             nb = flip(gc, facet, hideal, S, check=check)
             if nb.key() not in found:

@@ -137,13 +137,6 @@ def initial_ideal(basis, sig, w):
     return [g.initial_form(ws) for g in basis]
 
 
-def membership(p, basis, order, check=False):
-    if p.is_zero():
-        return True
-    _, r = divide(p, basis, order, check=check)
-    return r.is_zero()
-
-
 def homogenized_ideal(ideal, mode=None, alpha=None):
     """Lift an ideal into the homogenized signature used for basis
     computations: mode is one of the lifts rings.LIFTS lists for the ring

@@ -11,7 +11,7 @@ from .groebner import (Ideal, local_standard_basis, homogenized_ideal,
                        dehomogenized_basis)
 from .polyhedra import (cone_from_rays, validate_fan, FanValidationError,
                         assemble_closed_fan)
-from .fans import enumerate_cones, facet_keys
+from .fans import enumerate_cones
 
 
 def stratum_of(sig, w):
@@ -88,9 +88,9 @@ def _glue(members, pdim):
         rays.extend(gc.cone.rays())
         lines.extend(gc.cone.lineality())
     hull = cone_from_rays(pdim, rays, lines)
-    shared = Counter(k for gc in members for k in facet_keys(gc.cone))
+    shared = Counter(k for gc in members for k in gc.cone.facet_keys())
     for gc in members:
-        for f, key in zip(gc.cone.facet_covectors(), facet_keys(gc.cone)):
+        for f, key in zip(gc.cone.facet_covectors(), gc.cone.facet_keys()):
             if f not in hull.facet_covectors() and shared[key] < 2:
                 raise RuntimeError(
                     "glued class is not convex: facet %r of a member is "
@@ -117,7 +117,7 @@ def merge_classes(cones, ideal, S, check=False):
     bases = [dehomogenized_basis(c.basis) for c in cones]
     sharing = {}
     for i, c in enumerate(cones):
-        for key in facet_keys(c.cone):
+        for key in c.cone.facet_keys():
             sharing.setdefault(key, []).append(i)
     for i, j in (pair for pair in sharing.values() if len(pair) == 2):
         if find(i) != find(j) and _initials_equal(

@@ -43,11 +43,6 @@ class MatrixOrder:
         return "MatrixOrder(%d, %r)" % (self.nslots, self.rows)
 
 
-def degrevlex(nslots):
-    """Pure graded reverse-lexicographic order."""
-    return MatrixOrder(nslots, [])
-
-
 def _beta_k_row(sig):
     # counts the d-block together with h
     return tuple(1 if sig.n <= i <= 2 * sig.n else 0 for i in range(sig.nslots))

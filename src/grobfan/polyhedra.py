@@ -7,7 +7,8 @@ lineality, implicit equalities and irredundant facets are derived by
 integer elimination; two cones are equal iff their canonical forms
 coincide.  Faces are built from those generators, not by further passes:
 the face on a facet keeps the lines and the rays the facet covector
-vanishes on.
+vanishes on.  The faces of a cone, a closed fan and fan validation all
+read `face_lattice`, one walk down the facets of a family of cones.
 """
 
 from itertools import combinations
@@ -124,7 +125,7 @@ class HCone:
                 seen.add(c)
                 self.eqs.append(c)
         self._canon = None
-        self._facet_faces = {}
+        self._facet_faces = None
 
     # --- canonical data ---------------------------------------------
     def _canonicalize(self):
@@ -218,35 +219,37 @@ class HCone:
         return HCone(self.ambient, self.ineqs + other.ineqs,
                      self.eqs + other.eqs)
 
-    def facet_face(self, f):
-        """The face {f = 0} for a facet covector f of the cone, memoised.
-        A face is determined by the extreme rays it contains, and double
-        description gives the same lines and ray representatives for every
-        H-form of a cone: the face keeps the cone's lines and the rays f
-        vanishes on, and no pass runs."""
-        face = self._facet_faces.get(f)
-        if face is None:
+    def facet_faces(self):
+        """{facet covector f: the face {f = 0}}, derived once.  A face is
+        determined by the extreme rays it contains, and double description
+        gives the same lines and ray representatives for every H-form of a
+        cone: the face keeps the cone's lines and the rays f vanishes on,
+        and no pass runs."""
+        if self._facet_faces is None:
             c = self._canonicalize()
-            if f not in c["facets"]:
-                raise ValueError("%r is not a facet covector of %r"
-                                 % (f, self))
-            face = HCone(self.ambient, c["facets"], c["eqs"] + [f])
-            face._canon = face._derive(
-                c["lines"], [r for r in c["rays"] if vdot(f, r) == 0])
-            self._facet_faces[f] = face
+            self._facet_faces = {}
+            for f in c["facets"]:
+                face = HCone(self.ambient, c["facets"], c["eqs"] + [f])
+                face._canon = face._derive(
+                    c["lines"], [r for r in c["rays"] if vdot(f, r) == 0])
+                self._facet_faces[f] = face
+        return self._facet_faces
+
+    def facet_face(self, f):
+        """The face {f = 0} for a facet covector f of the cone."""
+        face = self.facet_faces().get(f)
+        if face is None:
+            raise ValueError("%r is not a facet covector of %r" % (f, self))
         return face
 
+    def facet_keys(self):
+        """The keys of the facet faces, in facet covector order: two
+        maximal cones of a fan meet in a facet iff both have its key."""
+        return [face.key() for face in self.facet_faces().values()]
+
     def faces(self):
-        """All faces (including the cone itself), walking down the facet
-        lattice breadth first: every face of a face is a face."""
-        out = {self.key(): self}
-        todo = [self]
-        for c in todo:
-            for f in c.facet_covectors():
-                face = c.facet_face(f)
-                if out.setdefault(face.key(), face) is face:
-                    todo.append(face)
-        return list(out.values())
+        """All faces, the cone itself first: its face lattice's cones."""
+        return [face for face, _ in face_lattice([self]).values()]
 
     def __repr__(self):
         c = self._canonicalize()
@@ -263,20 +266,38 @@ def cone_from_rays(ambient, rays, lines=()):
     return HCone(ambient, prays, plines)
 
 
+def face_lattice(cones):
+    """{key: (face, keys of its facets)} for the given cones and all their
+    faces, by one breadth-first walk down facets from all the given cones
+    together: every face ends a chain of facets (Ziegler, Lectures on
+    Polytopes, 1995, ch. 2).  Each distinct face has its facets derived
+    once, and the first cone found under a key is kept.  Which one is kept
+    does not change a face's lines and rays: double description gives the
+    same ones for every H-form of a cone, and a facet face keeps them."""
+    lattice = {}
+    todo = list(cones)
+    for c in todo:
+        if c.key() not in lattice:
+            lattice[c.key()] = (c, c.facet_keys())
+            todo.extend(c.facet_faces().values())
+    return lattice
+
+
 def assemble_closed_fan(cones):
     """Closures of the given cones together with all their faces, as a
     deduplicated list of H-cones."""
-    out = {}
-    for c in cones:
-        for f in c.faces():
-            out.setdefault(f.key(), f)
-    return list(out.values())
+    return [face for face, _ in face_lattice(cones).values()]
 
 
 def validate_fan(cones):
     """Check the fan axioms: every face of a cone is in the family, and
     every two cones meet in a common face.  Returns (ok, list of violation
     strings).
+
+    Closure is checked through facets, read from the family's face
+    lattice.  Every face ends a chain of facets, so a family holding every
+    facet of each of its cones holds all their faces, and in such a family
+    a cone is a proper face of a member iff it is a facet of a member.
 
     Only pairs of maximal cones are intersected; in a face-closed family
     that is enough (Ziegler, Lectures on Polytopes, 1995, ch. 7).  Write &
@@ -286,25 +307,23 @@ def validate_fan(cones):
     a face of A and of B, and so a face of s and of t.  Every cone of a
     face-closed family is a face of some maximal cone, so every pair of
     cones is covered."""
-    problems = []
-    uniq = {}
+    family = {}
     for c in cones:
-        uniq.setdefault(c.key(), c)
-    cones = list(uniq.values())
-    face_keys = {}  # faces of each cone, computed once
-    for c in cones:
-        fk = face_keys[c.key()] = set()
-        for f in c.faces():
-            fk.add(f.key())
-            if f.key() not in uniq:
-                problems.append("missing face %r of %r" % (f, c))
-    proper = {f for k, fk in face_keys.items() for f in fk if f != k}
-    maximal = [c for c in cones if c.key() not in proper]
+        family.setdefault(c.key(), c)
+    lattice = face_lattice(family.values())
+    problems = ["missing face %r of %r" % (lattice[f][0], c)
+                for k, c in family.items() for f in lattice[k][1]
+                if f not in family]
+    facets = {f for _, keys in lattice.values() for f in keys}
+    maximal = [k for k in family if k not in facets]
+    faces = {}  # the face keys of each entry, facets first
+    for k in sorted(lattice, key=lambda k: lattice[k][0].dim):
+        faces[k] = {k}.union(*(faces[f] for f in lattice[k][1]))
     for a, b in combinations(maximal, 2):
-        cap = a.intersect(b).key()
-        if cap not in face_keys[a.key()] or cap not in face_keys[b.key()]:
+        cap = family[a].intersect(family[b]).key()
+        if cap not in faces[a] or cap not in faces[b]:
             problems.append("intersection of %r and %r is not a common face"
-                            % (a, b))
+                            % (family[a], family[b]))
     return (not problems), problems
 
 

@@ -345,31 +345,23 @@ def dehomogenize(p):
 
 
 def translate(p, point):
-    """Substitute x_i -> x_i + point_i (derivations are unaffected)."""
+    """Substitute x_i -> x_i + point_i (derivations are unaffected).  In a
+    normally ordered term every x stands left of every d, so the term
+    becomes its x-free part multiplied from the left by each x_i + point_i
+    as often as x_i occurs."""
     sig = p.sig
     point = [QQ(c) for c in point]
     if len(point) != sig.n:
         raise ValueError("base point arity mismatch")
     if all(c == 0 for c in point):
         return p
+    shifts = [Element.variable(sig, i) + Element.constant(sig, c)
+              for i, c in enumerate(point)]
     out = Element.zero(sig)
     for e, c in p.terms.items():
         term = Element.monomial(sig, (0,) * sig.n + e[sig.n:], c)
-        shifted = term
-        for i, (ei, ci) in enumerate(zip(e[:sig.n], point)):
-            if ei == 0:
-                continue
-            if ci == 0:
-                mono = [0] * sig.nslots
-                mono[i] = ei
-                shifted = Element.monomial(sig, tuple(mono)) * shifted
-                continue
-            acc = Element.zero(sig)
-            for j in range(ei + 1):
-                mono = [0] * sig.nslots
-                mono[i] = j
-                acc += Element.monomial(sig, tuple(mono),
-                                        comb(ei, j) * ci ** (ei - j))
-            shifted = acc * shifted
-        out += shifted
+        for shift, k in zip(shifts, e[:sig.n]):
+            for _ in range(k):
+                term = shift * term
+        out += term
     return out

@@ -6,11 +6,26 @@ from hypothesis import strategies as st
 from grobfan import fans
 from grobfan.rational import QQ
 from grobfan.rings import RingSignature, Element
+from grobfan.orders import MatrixOrder
+from grobfan.division import divide
 from grobfan.groebner import Ideal
 
 
 def make_sig(n, kind, homog="none", alpha=None):
     return RingSignature(n, kind, homog, alpha=alpha)
+
+
+def degrevlex(nslots):
+    """Pure graded reverse-lexicographic order."""
+    return MatrixOrder(nslots, [])
+
+
+def membership(p, basis, order, check=False):
+    """Whether p reduces to zero by division by the basis."""
+    if p.is_zero():
+        return True
+    _, r = divide(p, basis, order, check=check)
+    return r.is_zero()
 
 
 def element_from(sig, terms):

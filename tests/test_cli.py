@@ -10,7 +10,9 @@ import pytest
 
 from grobfan.rational import QQ
 from grobfan.cli import (parse_problem, ParseError, run, emit,
-                         check_fan_document, main, MAX_EXPONENT, MAX_TERMS)
+                         check_fan_document, main, MAX_EXPONENT, MAX_TERMS,
+                         _incidence)
+from grobfan.polyhedra import cone_from_rays
 
 CUSP = "ring poly(x,y);\nideal: x^3 - y^2;\nmode: local-fan;\n"
 
@@ -390,6 +392,28 @@ def test_cli_rejects_a_vector_of_the_wrong_shape(capsys, argv, stmt,
     text = CUSP.replace("local-fan", "global-fan") + stmt + "\n"
     assert run_cli(argv, text) == (2, b"")
     assert message in capsys.readouterr().err
+
+
+def test_check_fan_rejects_a_cone_listed_twice(capsys):
+    # a repeated cone is not a second maximal cone: the summary of this
+    # document would count 2 for a fan that has 1
+    text = ("ring poly(x,y);\nideal: 1 + x^3 + y^2 + x*y + x^2*y^3;\n"
+            "mode: normal-fan;\n")
+    code, out = run_cli([], text)
+    doc = json.loads(out)
+    n = len(doc["cones"])
+    doc["cones"].append(dict(doc["cones"][0], id=n))
+    doc["incidence"] = _incidence([
+        cone_from_rays(doc["parameter_dim"], c["rays"], c["lineality"])
+        for c in doc["cones"]])
+    capsys.readouterr()
+    t0 = time.monotonic()
+    code, out = run_cli(["--mode", "check-fan", "--emit", "summary"],
+                        json.dumps(doc))
+    assert time.monotonic() - t0 < 1.0
+    assert (code, out) == (4, b"")
+    assert ("cones 0 and %d are the same cone" % n
+            in capsys.readouterr().err)
 
 
 def _cusp_with_ray(ray):

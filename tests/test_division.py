@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from grobfan.rational import QQ
 from grobfan.rings import RingSignature, Element, homogenize
-from grobfan.orders import degrevlex, groebner_order, local_order
+from grobfan.orders import groebner_order, local_order
 from grobfan.division import divide, mora_divide, delta_index
 
-from conftest import elements, weights
+from conftest import degrevlex, elements, weights
 
 
 def V(sig, i):

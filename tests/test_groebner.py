@@ -12,11 +12,11 @@ from grobfan.rings import RingSignature, Element, homogenize, dehomogenize
 from grobfan.orders import groebner_order, local_order, leading_data
 from grobfan.division import divide, _divides
 from grobfan.groebner import (Ideal, buchberger, s_pair, initial_ideal,
-                              membership, homogenized_ideal,
+                              homogenized_ideal,
                               local_standard_basis, saturate_h,
                               saturation_order)
 
-from conftest import elements, weights, hypergeometric_ideal
+from conftest import elements, weights, hypergeometric_ideal, membership
 
 
 def V(sig, i):

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 
 from grobfan.rational import QQ
 from grobfan.rings import RingSignature, Element
-from grobfan.orders import (MatrixOrder, degrevlex, groebner_order,
-                            grading_row, local_order, leading_data)
+from grobfan.orders import (MatrixOrder, groebner_order, grading_row,
+                            local_order, leading_data)
 
 from hypothesis import strategies as st
 
-from conftest import elements, exponents, weights
+from conftest import degrevlex, elements, exponents, weights
 
 
 def wglob_weights_1():

@@ -12,6 +12,7 @@ from grobfan.rational import QQ
 from grobfan.linalg import vdot, primitive
 from grobfan.rings import RingSignature, Element
 from grobfan import polyhedra
+from grobfan.cli import _cone_record
 from grobfan.polyhedra import (HCone, cone_from_rays, validate_fan,
                                RationalPolyhedron, newton_polyhedron,
                                face_of, normal_cone, minkowski_sum,
@@ -239,20 +240,30 @@ def test_validate_fan_rejects_missing_face():
 
 
 def test_validate_fan_computes_faces_once_per_cone(monkeypatch):
-    fan = normal_fan(newton_polyhedron(_cusp()),
-                     HCone(2, [(-1, 0), (0, -1)]))
-    calls = []
-    faces = HCone.faces
+    # the cones as check-fan rebuilds them, so no facet face is derived yet
+    fan = [cone_from_rays(2, c.rays(), c.lineality())
+           for c in normal_fan(newton_polyhedron(_cusp()),
+                               HCone(2, [(-1, 0), (0, -1)]))]
+    for c in fan:
+        c.key()
+    walks, derived = [], []
+    facet_faces = HCone.facet_faces
 
     def counting(self):
-        calls.append(self.key())
-        return faces(self)
+        if self._facet_faces is None:
+            derived.append(self.key())
+        return facet_faces(self)
 
-    monkeypatch.setattr(HCone, "faces", counting)
+    monkeypatch.setattr(HCone, "faces", lambda self: walks.append(self))
+    monkeypatch.setattr(HCone, "facet_faces", counting)
     # a repeated cone is one cone of the fan
     ok, problems = validate_fan(fan + fan[:2])
     assert ok, problems
-    assert sorted(calls) == sorted(c.key() for c in fan)
+    assert walks == []
+    # the facet faces of each distinct cone are derived once
+    assert sorted(derived) == sorted(c.key() for c in fan)
+    ok, problems = validate_fan(fan)
+    assert ok and len(derived) == len(fan) == 6
 
 
 def _closed(*cones):
@@ -271,20 +282,77 @@ def _all_pairs_fan(cones):
         for a, b in combinations(uniq.values(), 2))
 
 
-def test_validate_fan_agrees_with_all_pairs_on_random_families():
+def _random_families():
+    """300 seeded families of 2 or 3 random cones in dimension 2 or 3,
+    each as (ambient, list of ray lists)."""
     rng = random.Random(1)
-    non_fans = 0
     for _ in range(300):
         a = rng.choice([2, 3])
-        cones = [cone_from_rays(a, [tuple(rng.randint(-2, 2)
-                                          for _ in range(a))
-                                    for _ in range(rng.randint(1, 3))])
-                 for _ in range(rng.randint(2, 3))]
-        family = assemble_closed_fan(cones)
+        yield a, [[tuple(rng.randint(-2, 2) for _ in range(a))
+                   for _ in range(rng.randint(1, 3))]
+                  for _ in range(rng.randint(2, 3))]
+
+
+def _families():
+    for a, cones in _random_families():
+        yield assemble_closed_fan([cone_from_rays(a, r) for r in cones])
+
+
+def test_validate_fan_agrees_with_all_pairs_on_random_families():
+    non_fans = 0
+    for family in _families():
         expected = _all_pairs_fan(family)
         assert validate_fan(family)[0] == expected, family
         non_fans += not expected
     assert non_fans >= 100
+
+
+def _walk_faces(c):
+    """The faces of one cone by a walk of that cone alone, breadth first
+    down its facets, keeping the first face found under each key."""
+    out = {c.key(): c}
+    todo = [c]
+    for d in todo:
+        for f in d.facet_covectors():
+            face = d.facet_face(f)
+            if out.setdefault(face.key(), face) is face:
+                todo.append(face)
+    return list(out.values())
+
+
+def test_closed_fan_is_the_union_of_per_cone_walks():
+    # the shared walk may keep a face found under another given cone than
+    # the per-cone walks do, with the same lines and rays; fresh cones on
+    # each side share no memoised faces
+    shared = 0
+    for a, rays in _random_families():
+        ref = {}
+        for c in (cone_from_rays(a, r) for r in rays):
+            for f in _walk_faces(c):
+                ref.setdefault(f.key(), f)
+        fan = assemble_closed_fan([cone_from_rays(a, r) for r in rays])
+        assert sorted(f.key() for f in fan) == sorted(ref)
+        for f in fan:
+            assert _cone_record(f) == _cone_record(ref[f.key()])
+        shared += len(fan) < sum(len(_walk_faces(cone_from_rays(a, r)))
+                                 for r in rays)
+    assert shared >= 100
+
+
+def test_validate_fan_finds_a_dropped_face():
+    rng = random.Random(2)
+    dropped = 0
+    for family in _families():
+        proper = [f for c in family for f in c.faces()[1:]]
+        if not proper:
+            continue
+        gone = rng.choice(proper).key()
+        rest = [c for c in family if c.key() != gone]
+        ok, problems = validate_fan(rest)
+        assert not ok and any("missing face" in p for p in problems)
+        assert not _all_pairs_fan(rest)
+        dropped += 1
+    assert dropped >= 250
 
 
 QUADRANT = HCone(2, [(1, 0), (0, 1)])

@@ -274,12 +274,22 @@ def test_translate_weyl_leaves_derivations():
     assert q == x * d + C(sig, 3) * d
 
 
-@settings(max_examples=40, deadline=None)
-@given(elements(RingSignature(2, "poly"), max_terms=4, max_deg=3))
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(elements(RingSignature(2, "poly"), max_terms=4, max_deg=3),
+                 elements(RingSignature(2, "weyl"), max_terms=4, max_deg=2)))
 def test_translate_inverse(p):
     pt = (QQ(1), QQ(-1, 2))
     back = tuple(-c for c in pt)
     assert translate(translate(p, pt), back) == p
+
+
+@settings(max_examples=40, deadline=None)
+@given(elements(RingSignature(2, "weyl"), max_terms=3, max_deg=2),
+       elements(RingSignature(2, "weyl"), max_terms=3, max_deg=2))
+def test_translate_is_multiplicative_on_weyl(p, q):
+    # x -> x + c, d -> d preserves d*x - x*d = 1, so it is a ring map
+    pt = (QQ(2), QQ(-1, 3))
+    assert translate(p * q, pt) == translate(p, pt) * translate(q, pt)
 
 
 def test_initial_form_and_weight_order():
