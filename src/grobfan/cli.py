@@ -43,6 +43,9 @@ MAX_EXPONENT = 100
 # most terms one product in the parser may produce before like terms
 # combine; a larger product is rejected before it is multiplied out
 MAX_TERMS = 10000
+# deepest parenthesis nesting and longest digit string the parser accepts
+MAX_NESTING = 100
+MAX_DIGITS = 1000
 # the shape of a rational as qstr writes it; a string of another shape
 # (an exponent such as 1e-99999999 included) is never parsed
 _QSTR = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
@@ -66,7 +69,7 @@ _SYMBOLS = "+-*^()[],;:/"
 
 def tokenize(text):
     toks = []
-    line, col = 1, 1
+    line, col, depth = 1, 1, 0
     i, m = 0, len(text)
     while i < m:
         ch = text[i]
@@ -87,6 +90,9 @@ def tokenize(text):
             j = i
             while j < m and text[j].isdigit():
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise ParseError("a number of %d digits exceeds the cap of %d"
+                                 % (j - i, MAX_DIGITS), line, col)
             toks.append(("num", text[i:j], line, col))
             col += j - i
             i = j
@@ -100,6 +106,10 @@ def tokenize(text):
             i = j
             continue
         if ch in _SYMBOLS:
+            depth += (ch == "(") - (ch == ")")
+            if depth > MAX_NESTING:
+                raise ParseError("parentheses nested deeper than %d (the cap)"
+                                 % MAX_NESTING, line, col)
             toks.append((ch, ch, line, col))
             i += 1
             col += 1
@@ -201,10 +211,11 @@ class _ExprParser:
 
     def factor(self):
         ts = self.ts
-        if ts.peek()[0] == "-":
+        neg = False
+        while ts.peek()[0] == "-":  # a loop, so a run of signs cannot recurse
             ts.next()
-            return -self.factor()
-        base = self.atom()
+            neg = not neg
+        out = self.atom()
         if ts.peek()[0] == "^":
             ts.next()
             t = ts.peek()
@@ -215,11 +226,10 @@ class _ExprParser:
             if k > MAX_EXPONENT:
                 raise ParseError("exponent %d exceeds the cap of %d"
                                  % (k, MAX_EXPONENT), t[2], t[3])
-            out = Element.constant(self.sig, 1)
+            base, out = out, Element.constant(self.sig, 1)
             for _ in range(k):
                 out = _multiply(out, base, t)
-            return out
-        return base
+        return -out if neg else out
 
     def atom(self):
         ts = self.ts
@@ -709,7 +719,10 @@ def main(argv=None):
     try:
         if args.mode == "check-fan" or (args.mode is None
                                         and text.lstrip().startswith("{")):
-            doc = json.loads(text)
+            try:  # deep nesting and over-long integers hit Python's limits
+                doc = json.loads(text)
+            except (RecursionError, ValueError) as e:
+                raise ParseError("malformed fan document: %s" % e)
             ok, problems = check_fan_document(doc)
             if not ok:
                 sys.stderr.write("fan validation failed: %s\n" % problems[0])
@@ -734,7 +747,7 @@ def main(argv=None):
         doc = run(spec, text=text, validate=args.validate)
         sys.stdout.buffer.write(emit(doc, args.emit))
         return 0
-    except (ParseError, json.JSONDecodeError) as e:
+    except ParseError as e:
         sys.stderr.write("parse error: %s\n" % e)
         return 2
     except FanValidationError as e:

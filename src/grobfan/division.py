@@ -5,12 +5,16 @@ the first-divisor partition of the exponent lattice, and ecart (Mora style)
 division for local orders, where the multipliers applied to stored
 intermediate results are restricted to a designated block of weight-zero x
 variables so the accumulated denominator stays invertible in the graded local
-ring.
+ring.  Global division is fraction-free: see divide.
 """
+
+from math import gcd
+from operator import sub
 
 from .rational import QQ
 from .rings import Element
 from .orders import leading_data
+from .linalg import primitive
 
 MORA_STEP_CAP = 200000
 
@@ -27,6 +31,14 @@ def delta_index(exps, v):
         if _divides(e, v):
             return j
     return None
+
+
+def integral(p):
+    """(terms of s * p, s) for the rational s > 0 making them coprime ints."""
+    cs = list(p.terms.values())
+    ints = primitive(cs)
+    s = QQ(ints[0]) / cs[0] if cs and ints[0] != cs[0] else 1
+    return dict(zip(p.terms, ints)), s
 
 
 def _check_division(p, divisors, quotients, remainder, lexps):
@@ -51,34 +63,52 @@ def divide(p, divisors, order, check=False):
     Returns (quotients, remainder) with p = sum(q_j * g_j) + r; each quotient
     term, shifted by its divisor's leading exponent, stays in that divisor's
     region of the first-divisor partition, and no remainder term is divisible
-    by any leading exponent.
+    by any leading exponent.  The work is one {exponent: int} map, s times
+    the true one, whose terms wait in a heap ranked by order.key; a step
+    scales it by lc_j / gcd and subtracts (c / gcd) * m * g_j in place.
     """
+    from heapq import heapify, heappop, heappush  # kept off import time
     sig = p.sig
     if not divisors:
         return [], p
-    lexps = []
-    lcs = []
+    lexps, reducers = [], []
     for g in divisors:
         if g.is_zero():
             raise ValueError("zero divisor")
-        e, c = leading_data(g, order)
-        lexps.append(e)
-        lcs.append(c)
-    quotients = [Element.zero(sig) for _ in divisors]
-    remainder = Element.zero(sig)
-    work = p
-    while not work.is_zero():
-        e, c = leading_data(work, order)
+        lexps.append(leading_data(g, order)[0])
+        terms, d = integral(g)
+        reducers.append((Element(sig, terms), terms[lexps[-1]], d))
+    quotients, remainder = [{} for _ in divisors], {}
+    work, s = integral(p)  # a cancelled term stays, as a zero, until popped
+    key = order.key
+    heap = [(tuple(-k for k in key(e)), e) for e in work]
+    heapify(heap)
+    while heap:
+        e = heappop(heap)[1]
+        c = work.pop(e)
+        if not c:
+            continue
         j = delta_index(lexps, e)
         if j is None:
-            t = Element(sig, {e: c})
-            remainder += t
-            work -= t
-        else:
-            m = tuple(x - y for x, y in zip(e, lexps[j]))
-            q = Element(sig, {m: c / lcs[j]})
-            quotients[j] += q
-            work -= q * divisors[j]
+            remainder[e] = c if s == 1 else QQ(c) / s
+            continue
+        g, lc, d = reducers[j]
+        t = gcd(c, lc) if lc > 0 else -gcd(c, lc)
+        a, b = lc // t, c // t
+        if a != 1:
+            s *= a
+            for f in work:
+                work[f] *= a
+        m = tuple(map(sub, e, lexps[j]))
+        quotients[j][m] = b * d if s == 1 else QQ(b * d) / s
+        prod = (Element(sig, {m: b}) * g).terms
+        del prod[e]  # a * c - b * lc = 0
+        for f, v in prod.items():
+            if f not in work:
+                heappush(heap, (tuple(-k for k in key(f)), f))
+            work[f] = work.get(f, 0) - v
+    quotients = [Element(sig, q) for q in quotients]
+    remainder = Element(sig, remainder)
     if check:
         _check_division(p, divisors, quotients, remainder, lexps)
     return quotients, remainder
@@ -151,22 +181,18 @@ def mora_divide(f, divisors, order, allowed_block, check=False):
         ec_h = _ecart(h, e)
         if best[0] > ec_h:
             inter.append((h, e, ec_h, uh, list(qh)))
-        if best[1] == 0:
-            j = best[2]
-            g = divisors[j]
-            ge = dlexps[j]
-            m = tuple(x - y for x, y in zip(e, ge))
-            fac = Element(sig, {m: c / g.terms[ge]})
-            h = h - fac * g
-            qh = list(qh)
-            qh[j] = qh[j] + fac
+        j = best[2]
+        if best[1]:
+            t, te, _, ut, qt = inter[j]
         else:
-            t, te, _, ut, qt = inter[best[2]]
-            m = tuple(x - y for x, y in zip(e, te))
-            fac = Element(sig, {m: c / t.terms[te]})
-            h = h - fac * t
+            t, te = divisors[j], dlexps[j]
+        fac = Element(sig, {tuple(map(sub, e, te)): QQ(c) / t.terms[te]})
+        h = h - fac * t
+        if best[1]:
             uh = uh - fac * ut
             qh = [a - fac * b for a, b in zip(qh, qt)]
+        else:
+            qh = qh[:j] + [qh[j] + fac] + qh[j + 1:]
     if check:
         lhs = uh * f
         rhs = h

@@ -1,10 +1,13 @@
 """Buchberger completion and reduced bases in the homogenized rings, plus
-standard bases of local ideals obtained by dehomogenization."""
+standard bases of local ideals obtained by dehomogenization.  Completion
+keeps each basis element primitive with a positive lead and forms S-pairs
+with integer cofactors; only interreduce makes the unique reduced basis
+monic."""
 
 from .rational import QQ
 from .rings import Element, LIFTS, LIFT_TABLE, homogenize, dehomogenize
 from .orders import leading_data, groebner_order, grading_row, MatrixOrder
-from .division import divide, _divides
+from .division import divide, integral, _divides
 
 
 class Ideal:
@@ -24,17 +27,14 @@ class Ideal:
 
 
 def s_pair(g1, g2, order):
+    """c2 * m1 * g1 - c1 * m2 * g2: c_i is g_i's leading coefficient and
+    m_i lifts its lead to the lcm of the two leads."""
     e1, c1 = leading_data(g1, order)
     e2, c2 = leading_data(g2, order)
     lcm = tuple(max(a, b) for a, b in zip(e1, e2))
-    m1 = Element(g1.sig, {tuple(a - b for a, b in zip(lcm, e1)): 1 / QQ(c1)})
-    m2 = Element(g2.sig, {tuple(a - b for a, b in zip(lcm, e2)): 1 / QQ(c2)})
+    m1 = Element(g1.sig, {tuple(a - b for a, b in zip(lcm, e1)): c2})
+    m2 = Element(g2.sig, {tuple(a - b for a, b in zip(lcm, e2)): c1})
     return m1 * g1 - m2 * g2
-
-
-def _monic(g, order):
-    _, c = leading_data(g, order)
-    return g.scale(1 / QQ(c))
 
 
 def interreduce(basis, order, check=False):
@@ -42,22 +42,19 @@ def interreduce(basis, order, check=False):
     tail-reduced, sorted by leading exponent."""
     work = [g for g in basis if not g.is_zero()]
     lexps = [leading_data(g, order)[0] for g in work]
-    keep = []
-    for i, e in enumerate(lexps):
-        if any(j != i and _divides(lexps[j], e)
-               and (lexps[j] != e or j < i) for j in range(len(work))):
-            continue
-        keep.append(i)
-    work = [work[i] for i in keep]
+    keep = sorted(((e, g) for i, (e, g) in enumerate(zip(lexps, work))
+                   if not any(j != i and _divides(lexps[j], e)
+                              and (lexps[j] != e or j < i)
+                              for j in range(len(work)))),
+                  key=lambda eg: eg[0])
     # with minimal leads, the remainder of each element modulo the others
     # is its lead plus standard monomials: the reduced element of that lead
     out = []
-    for i, g in enumerate(work):
-        others = work[:i] + work[i + 1:]
+    for i, (e, g) in enumerate(keep):
+        others = [h for _, h in keep[:i] + keep[i + 1:]]
         if others:
             g = divide(g, others, order, check=check)[1]
-        out.append(_monic(g, order))
-    out.sort(key=lambda g: leading_data(g, order)[0])
+        out.append(g.scale(1 / QQ(g.terms[e])))
     return out
 
 
@@ -69,37 +66,24 @@ def buchberger(gens, order, seed=None, check=False):
     signatures (monomial commutators break it otherwise).  An optional seed
     basis warm-starts the completion.
     """
-    sig = gens[0].sig
-    commutative = not sig.has_d
-    basis = []
-    lexps = []
+    commutative = not gens[0].sig.has_d
+    basis, lexps, pairs = [], [], []
 
-    def add(g):
-        basis.append(_monic(g, order))
-        lexps.append(leading_data(g, order)[0])
+    def reduce_and_add(g):
+        r = divide(g, basis, order, check=check)[1] if basis else g
+        if r.is_zero():
+            return
+        e, c = leading_data(r, order)
+        r = Element(r.sig, integral(r)[0])
+        basis.append(r if c > 0 else -r)
+        lexps.append(e)
+        k = len(basis) - 1
+        pairs.extend((i, k) for i in range(k))
+        pairs.sort(key=lambda ij: sum(map(max, lexps[ij[0]], lexps[ij[1]])))
 
-    todo = list(gens)
-    if seed:
-        todo = list(seed) + todo
-    pairs = []
-
-    def push_pairs(k):
-        for i in range(k):
-            pairs.append((i, k))
-        pairs.sort(key=lambda ij: sum(
-            max(a, b) for a, b in zip(lexps[ij[0]], lexps[ij[1]])))
-
-    for g in todo:
-        if g.is_zero():
-            continue
-        _, r = divide(g, basis, order, check=check) if basis else ([], g)
-        if not r.is_zero():
-            add(r)
-            push_pairs(len(basis) - 1)
-
-    def lcm(i, j):
-        return tuple(max(a, b) for a, b in zip(lexps[i], lexps[j]))
-
+    for g in list(seed or []) + list(gens):
+        if not g.is_zero():
+            reduce_and_add(g)
     done = set()
     while pairs:
         i, j = pairs.pop(0)
@@ -107,26 +91,14 @@ def buchberger(gens, order, seed=None, check=False):
         li, lj = lexps[i], lexps[j]
         if commutative and all(min(a, b) == 0 for a, b in zip(li, lj)):
             continue
-        lij = lcm(i, j)
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if _divides(lexps[k], lij):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a in done and b in done:
-                    skip = True
-                    break
-        if skip:
-            continue
-        sp = s_pair(basis[i], basis[j], order)
-        if sp.is_zero():
-            continue
-        _, r = divide(sp, basis, order, check=check)
-        if not r.is_zero():
-            add(r)
-            push_pairs(len(basis) - 1)
+        lij = tuple(map(max, li, lj))
+        if not any(k not in (i, j) and _divides(lexps[k], lij)
+                   and (min(i, k), max(i, k)) in done
+                   and (min(j, k), max(j, k)) in done
+                   for k in range(len(basis))):
+            sp = s_pair(basis[i], basis[j], order)
+            if not sp.is_zero():
+                reduce_and_add(sp)
     return interreduce(basis, order, check=check)
 
 

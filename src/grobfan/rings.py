@@ -20,8 +20,9 @@ each ring kind computes in; the first is the default and the local lift.
 h01 is computed in only as the first step of `double`.
 
 Elements store a finite map from normally ordered exponent vectors
-(x-block, d-block, h, h') to nonzero rational coefficients and are
-immutable by convention.  h' is the second homogenization variable.
+(x-block, d-block, h, h') to nonzero ints or QQ rationals (quotients are
+taken in QQ, so never a float), and are immutable by convention; the
+constructor drops zeros.  h' is the second homogenization variable.
 """
 
 from collections import namedtuple
@@ -30,6 +31,7 @@ from itertools import product
 from operator import mul
 
 from .rational import QQ, qstr
+from .linalg import primitive
 
 POLY = "poly"
 WEYL = "weyl"
@@ -158,7 +160,7 @@ class Element:
 
     def __init__(self, sig, terms):
         self.sig = sig
-        self.terms = {e: QQ(c) for e, c in terms.items() if c != 0}
+        self.terms = {e: c for e, c in terms.items() if c}
 
     # --- constructors ----------------------------------------------
     @classmethod
@@ -199,18 +201,17 @@ class Element:
             raise ValueError("ring signature mismatch")
 
     def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s == 0:
-                terms.pop(e, None)
-            else:
-                terms[e] = s
+            terms[e] = terms.get(e, 0) + sign * c
         return Element(self.sig, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __neg__(self):
         return Element(self.sig, {e: -c for e, c in self.terms.items()})
@@ -231,11 +232,7 @@ class Element:
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
                     e = tuple(a + b for a, b in zip(e1, e2))
-                    s = out.get(e, 0) + c1 * c2
-                    if s == 0:
-                        out.pop(e, None)
-                    else:
-                        out[e] = s
+                    out[e] = out.get(e, 0) + c1 * c2
             return Element(sig, out)
         n = sig.n
         # each h slot gains its commutator power per commutation
@@ -259,11 +256,7 @@ class Element:
                     for j, c in hslots:
                         e[j] += e2[j] + c * tot
                     e = tuple(e)
-                    s = out.get(e, 0) + coeff
-                    if s == 0:
-                        out.pop(e, None)
-                    else:
-                        out[e] = s
+                    out[e] = out.get(e, 0) + coeff
         return Element(sig, out)
 
     __rmul__ = scale
@@ -277,18 +270,13 @@ class Element:
             return not self.terms
         return len({sum(map(mul, g, e)) for e in self.terms}) <= 1
 
-    def weight_order(self, slot_w):
-        if not self.terms:
-            raise ValueError("weight order of zero is undefined")
-        return max(sum(wi * ei for wi, ei in zip(slot_w, e)) for e in self.terms)
-
     def initial_form(self, slot_w):
-        if not self.terms:
-            return self
-        m = self.weight_order(slot_w)
-        return Element(self.sig, {
-            e: c for e, c in self.terms.items()
-            if sum(wi * ei for wi, ei in zip(slot_w, e)) == m})
+        """The top-weight terms, weighed once by the primitive slot weight."""
+        w = primitive(slot_w)
+        weights = {e: sum(map(mul, w, e)) for e in self.terms}
+        top = max(weights.values(), default=0)
+        return Element(self.sig, {e: c for e, c in self.terms.items()
+                                  if weights[e] == top})
 
     # --- printing ---------------------------------------------------
     def __str__(self):
@@ -335,12 +323,7 @@ def dehomogenize(p):
     tgt = RingSignature(sig.n, sig.kind, lift.source, names=sig.names)
     out = {}
     for e, c in p.terms.items():
-        k = e[:-1]
-        s = out.get(k, 0) + c
-        if s == 0:
-            out.pop(k, None)
-        else:
-            out[k] = s
+        out[e[:-1]] = out.get(e[:-1], 0) + c
     return Element(tgt, out)
 
 

@@ -516,3 +516,37 @@ def test_check_fan_accepts_the_rational_rows_it_writes():
     doc = json.loads(out)
     assert doc["subspace_rows"] == [["1/2", "0"], ["-1", "-3/4"]]
     assert run_cli(["--mode", "check-fan"], out.decode()) == (0, out)
+
+
+def _long_ray_document():
+    doc = _cusp_document()
+    doc["cones"][0]["rays"][0] = [-2, "LONG"]
+    return json.dumps(doc).replace('"LONG"', "-" + "3" * 5001)
+
+
+# each input hits a limit of Python itself unless the parser or the
+# document reader stops it first
+HOSTILE = {
+    "nested-parentheses": lambda: CUSP.replace(
+        "x^3", "(" * 200000 + "x^3" + ")" * 200000),
+    "nested-arrays": lambda: '{"cones": %s%s}' % ("[" * 200000,
+                                                  "]" * 200000),
+    "long-ray-entry": _long_ray_document,
+    "long-coefficient": lambda: CUSP.replace("x^3", "7" * 5001 + "*x^3"),
+    "exponent-cap": lambda: CUSP.replace("x^3", "x^%d" % (MAX_EXPONENT + 1)),
+    "term-cap": lambda: "ring poly(x,y,z);\nideal: (1+x+y+z)^40;\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_hostile_input_is_a_parse_error(tmp_path, name):
+    # through the installed entry point, as a user would run it: exit 2
+    # with a short message, quickly, and nothing on stdout
+    path = tmp_path / "input"
+    path.write_text(HOSTILE[name](), encoding="utf-8")
+    t0 = time.monotonic()
+    p = subprocess.run([sys.executable, "-m", "grobfan.cli", "--input",
+                        str(path)], capture_output=True, timeout=60)
+    assert time.monotonic() - t0 < 5.0
+    assert (p.returncode, p.stdout) == (2, b"")
+    assert p.stderr.startswith(b"parse error: ") and len(p.stderr) < 1024

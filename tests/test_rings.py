@@ -292,10 +292,26 @@ def test_translate_is_multiplicative_on_weyl(p, q):
     assert translate(p * q, pt) == translate(p, pt) * translate(q, pt)
 
 
-def test_initial_form_and_weight_order():
+def test_initial_form():
+    # the top weight of x^3 - y^2 under (-1, -1) is -2, reached by y^2 only
     sig = RingSignature(2, "poly")
     x, y = V(sig, 0), V(sig, 1)
     p = x * x * x - y * y
     w = sig.slot_weight((QQ(-1), QQ(-1)))
-    assert p.weight_order(w) == -2
     assert p.initial_form(w) == -(y * y)
+    assert p.initial_form(sig.slot_weight((QQ(-2, 3), QQ(-1)))) == p
+    assert Element.zero(sig).initial_form(w).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements(RingSignature(2, "weyl", "h11"), max_terms=5, max_deg=3),
+       st.tuples(*[st.fractions(-5, 5, max_denominator=6)] * 4),
+       st.fractions(min_value=0, max_denominator=9).filter(lambda k: k > 0))
+def test_initial_form_is_invariant_under_positive_scaling(p, w, k):
+    ws = p.sig.slot_weight(w)
+    top = p.initial_form(ws)
+    assert top == p.initial_form(tuple(k * x for x in ws))
+    assert not top.is_zero() and all(p.terms[e] == c
+                                     for e, c in top.terms.items())
+    weigh = [sum(a * b for a, b in zip(ws, e)) for e in p.terms]
+    assert len(top.terms) == weigh.count(max(weigh))
