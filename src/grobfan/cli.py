@@ -604,6 +604,21 @@ def emit(doc, fmt="json"):
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def _clip(value, depth=2):
+    """A short repr of a recorded or rebuilt value for an error message:
+    each list shows its first 3 entries and its length, lists nest at most
+    depth deep, and any other repr is cut to 40 characters."""
+    if type(value) is list:
+        if depth == 0 and value:
+            return "[... %d entries]" % len(value)
+        parts = [_clip(x, depth - 1) for x in value[:3]]
+        if len(value) > 3:
+            parts.append("... %d entries" % len(value))
+        return "[%s]" % ", ".join(parts)
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def _is_qstr(s):
     """True iff s is a string qstr writes: the rational it parses to."""
     return (type(s) is str and _QSTR.fullmatch(s) is not None
@@ -649,15 +664,16 @@ def check_fan_document(doc):
         expected = dict(_cone_record(c), id=i)
         for field, value in expected.items():
             if rec.get(field) != value:
-                problems.append("cone %d: recorded %s %r, rebuilt %r"
-                                % (i, field, rec.get(field), value))
+                problems.append("cone %d: recorded %s %s, rebuilt %s"
+                                % (i, field, _clip(rec.get(field)),
+                                   _clip(value)))
     incidence = _incidence(cones)
     if recorded != incidence:
         extra = [p for p in recorded if p not in incidence]
         missing = [p for p in incidence if p not in recorded]
-        problems.append("incidence: recorded pairs %r are not facet pairs, "
-                        "facet pairs %r are not recorded (or out of order)"
-                        % (extra, missing))
+        problems.append("incidence: recorded pairs %s are not facet pairs, "
+                        "facet pairs %s are not recorded (or out of order)"
+                        % (_clip(extra), _clip(missing)))
     ok, fan_problems = validate_fan(cones)
     problems.extend(fan_problems)
     return (not problems), problems

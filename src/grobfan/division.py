@@ -5,11 +5,14 @@ the first-divisor partition of the exponent lattice, and ecart (Mora style)
 division for local orders, where the multipliers applied to stored
 intermediate results are restricted to a designated block of weight-zero x
 variables so the accumulated denominator stays invertible in the graded local
-ring.  Global division is fraction-free: see divide.
+ring.  Global division is fraction-free: see divide.  Its divisors are
+prepared once into Reducers (leading exponent, coprime integer terms,
+leading coefficient, scale); a completion prepares each basis element as it
+adds it and passes the same Reducers to every division.
 """
 
-from math import gcd
-from operator import sub
+from math import gcd, lcm
+from operator import add, le, neg, sub
 
 from .rational import QQ
 from .rings import Element
@@ -21,7 +24,7 @@ MORA_STEP_CAP = 200000
 
 def _divides(a, b):
     """Componentwise a <= b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def delta_index(exps, v):
@@ -41,12 +44,43 @@ def integral(p):
     return dict(zip(p.terms, ints)), s
 
 
-def _check_division(p, divisors, quotients, remainder, lexps):
+class Reducer:
+    """A divisor g prepared for division under one order: element is
+    scale * g with coprime integer coefficients, lexp and lc are its
+    leading exponent and coefficient, and scale is a rational > 0.  An
+    element that is already primitive is its own Reducer, with scale 1."""
+
+    __slots__ = ("element", "lexp", "lc", "scale")
+
+    def __init__(self, element, lexp, lc, scale):
+        self.element, self.lexp, self.lc, self.scale = element, lexp, lc, scale
+
+
+def prepare(g, order):
+    """The Reducer of a nonzero divisor: one leading_data scan and one
+    integral.  A Reducer is returned as it is."""
+    if isinstance(g, Reducer):
+        return g
+    if g.is_zero():
+        raise ValueError("zero divisor")
+    e = leading_data(g, order)[0]
+    terms, s = integral(g)
+    return Reducer(Element(g.sig, terms), e, terms[e], s)
+
+
+def _shift(m, g):
+    """The terms of x^m * g for an m with no d part: left multiplication by
+    x^a h^c of a normally ordered term only adds exponents."""
+    return {tuple(map(add, m, f)): v for f, v in g.terms.items()}
+
+
+def _check_division(p, reducers, quotients, remainder):
     total = remainder
-    for q, g in zip(quotients, divisors):
-        total = total + q * g
+    for q, g in zip(quotients, reducers):
+        total = total + q * g.element.scale(1 / QQ(g.scale))
     if total != p:
         raise AssertionError("division identity failed to re-expand")
+    lexps = [g.lexp for g in reducers]
     for j, (q, e) in enumerate(zip(quotients, lexps)):
         for m in q.terms:
             v = tuple(x + y for x, y in zip(m, e))
@@ -63,26 +97,29 @@ def divide(p, divisors, order, check=False):
     Returns (quotients, remainder) with p = sum(q_j * g_j) + r; each quotient
     term, shifted by its divisor's leading exponent, stays in that divisor's
     region of the first-divisor partition, and no remainder term is divisible
-    by any leading exponent.  The work is one {exponent: int} map, s times
-    the true one, whose terms wait in a heap ranked by order.key; a step
-    scales it by lc_j / gcd and subtracts (c / gcd) * m * g_j in place.
+    by any leading exponent.  A divisor is an Element, prepared here, or a
+    Reducer prepared once by the caller (a completion keeps its basis as
+    Reducers); the quotients are those of the divisors the Reducers stand
+    for.  The work is one {exponent: int} map, s times the true one, whose
+    terms wait in a heap ranked by order.key; a step scales it by
+    lc_j / gcd and subtracts (c / gcd) * m * g_j in place; m * g_j is a
+    shift of g_j's exponents when m has no d part (see _shift), and an
+    Element product otherwise.
     """
     from heapq import heapify, heappop, heappush  # kept off import time
     sig = p.sig
     if not divisors:
         return [], p
-    lexps, reducers = [], []
-    for g in divisors:
-        if g.is_zero():
-            raise ValueError("zero divisor")
-        lexps.append(leading_data(g, order)[0])
-        terms, d = integral(g)
-        reducers.append((Element(sig, terms), terms[lexps[-1]], d))
-    quotients, remainder = [{} for _ in divisors], {}
-    work, s = integral(p)  # a cancelled term stays, as a zero, until popped
+    reducers = [prepare(g, order) for g in divisors]
+    lexps = [g.lexp for g in reducers]
+    quotients, remainder = [{} for _ in reducers], {}
+    # work is s * p on ints; a cancelled term stays, as a zero, until popped
+    s = lcm(*(c.denominator for c in p.terms.values()))
+    work = {e: int(c * s) for e, c in p.terms.items()}
     key = order.key
-    heap = [(tuple(-k for k in key(e)), e) for e in work]
+    heap = [(tuple(map(neg, key(e))), e) for e in work]
     heapify(heap)
+    d_part = slice(sig.n, 2 * sig.n) if sig.has_d else slice(0)
     while heap:
         e = heappop(heap)[1]
         c = work.pop(e)
@@ -92,25 +129,27 @@ def divide(p, divisors, order, check=False):
         if j is None:
             remainder[e] = c if s == 1 else QQ(c) / s
             continue
-        g, lc, d = reducers[j]
+        r = reducers[j]
+        g, lc = r.element, r.lc
         t = gcd(c, lc) if lc > 0 else -gcd(c, lc)
         a, b = lc // t, c // t
         if a != 1:
             s *= a
             for f in work:
                 work[f] *= a
-        m = tuple(map(sub, e, lexps[j]))
-        quotients[j][m] = b * d if s == 1 else QQ(b * d) / s
-        prod = (Element(sig, {m: b}) * g).terms
+        m = tuple(map(sub, e, r.lexp))
+        quotients[j][m] = b * r.scale if s == 1 else QQ(b * r.scale) / s
+        prod = ((Element(sig, {m: 1}) * g).terms if any(m[d_part])
+                else _shift(m, g))
         del prod[e]  # a * c - b * lc = 0
         for f, v in prod.items():
             if f not in work:
-                heappush(heap, (tuple(-k for k in key(f)), f))
-            work[f] = work.get(f, 0) - v
+                heappush(heap, (tuple(map(neg, key(f))), f))
+            work[f] = work.get(f, 0) - b * v
     quotients = [Element(sig, q) for q in quotients]
     remainder = Element(sig, remainder)
     if check:
-        _check_division(p, divisors, quotients, remainder, lexps)
+        _check_division(p, reducers, quotients, remainder)
     return quotients, remainder
 
 

@@ -1,13 +1,14 @@
 """Buchberger completion and reduced bases in the homogenized rings, plus
 standard bases of local ideals obtained by dehomogenization.  Completion
-keeps each basis element primitive with a positive lead and forms S-pairs
-with integer cofactors; only interreduce makes the unique reduced basis
-monic."""
+keeps each basis element primitive with a positive lead, prepared once as a
+division.Reducer that every later division, S-pair and the final
+interreduce reuse, and forms S-pairs with integer cofactors; only
+interreduce makes the unique reduced basis monic."""
 
 from .rational import QQ
 from .rings import Element, LIFTS, LIFT_TABLE, homogenize, dehomogenize
 from .orders import leading_data, groebner_order, grading_row, MatrixOrder
-from .division import divide, integral, _divides
+from .division import Reducer, divide, integral, prepare, _divides
 
 
 class Ideal:
@@ -26,11 +27,19 @@ class Ideal:
         self.generators = gens
 
 
+def _lead(g, order):
+    """(element, leading exponent, leading coefficient) of an Element, by
+    one scan, or of a Reducer's element, as it stored them."""
+    if isinstance(g, Reducer):
+        return g.element, g.lexp, g.lc
+    return (g, *leading_data(g, order))
+
+
 def s_pair(g1, g2, order):
     """c2 * m1 * g1 - c1 * m2 * g2: c_i is g_i's leading coefficient and
-    m_i lifts its lead to the lcm of the two leads."""
-    e1, c1 = leading_data(g1, order)
-    e2, c2 = leading_data(g2, order)
+    m_i lifts its lead to the lcm of the two leads.  For a Reducer, g_i is
+    its element and its lead is the stored one."""
+    (g1, e1, c1), (g2, e2, c2) = _lead(g1, order), _lead(g2, order)
     lcm = tuple(max(a, b) for a, b in zip(e1, e2))
     m1 = Element(g1.sig, {tuple(a - b for a, b in zip(lcm, e1)): c2})
     m2 = Element(g2.sig, {tuple(a - b for a, b in zip(lcm, e2)): c1})
@@ -39,22 +48,23 @@ def s_pair(g1, g2, order):
 
 def interreduce(basis, order, check=False):
     """The reduced basis of a Groebner basis: minimal, monic and
-    tail-reduced, sorted by leading exponent."""
-    work = [g for g in basis if not g.is_zero()]
-    lexps = [leading_data(g, order)[0] for g in work]
-    keep = sorted(((e, g) for i, (e, g) in enumerate(zip(lexps, work))
-                   if not any(j != i and _divides(lexps[j], e)
-                              and (lexps[j] != e or j < i)
-                              for j in range(len(work)))),
-                  key=lambda eg: eg[0])
+    tail-reduced, sorted by leading exponent.  The basis holds Elements,
+    prepared here, or the Reducers a completion keeps."""
+    work = [prepare(g, order) for g in basis
+            if isinstance(g, Reducer) or not g.is_zero()]
+    keep = sorted((g for i, g in enumerate(work)
+                   if not any(j != i and _divides(h.lexp, g.lexp)
+                              and (h.lexp != g.lexp or j < i)
+                              for j, h in enumerate(work))),
+                  key=lambda g: g.lexp)
     # with minimal leads, the remainder of each element modulo the others
     # is its lead plus standard monomials: the reduced element of that lead
     out = []
-    for i, (e, g) in enumerate(keep):
-        others = [h for _, h in keep[:i] + keep[i + 1:]]
-        if others:
-            g = divide(g, others, order, check=check)[1]
-        out.append(g.scale(1 / QQ(g.terms[e])))
+    for i, g in enumerate(keep):
+        others = keep[:i] + keep[i + 1:]
+        r = divide(g.element, others, order, check=check)[1] if others \
+            else g.element
+        out.append(r.scale(1 / QQ(r.terms[g.lexp])))
     return out
 
 
@@ -64,10 +74,13 @@ def buchberger(gens, order, seed=None, check=False):
     Pair selection uses the normal strategy (smallest lcm degree); the chain
     criterion always applies, the coprimality criterion only in commutative
     signatures (monomial commutators break it otherwise).  An optional seed
-    basis warm-starts the completion.
+    basis warm-starts the completion.  Each basis element is prepared once,
+    as it is added: kept primitive with a positive lead, it is its own
+    Reducer, which every later division, S-pair and the final interreduce
+    read instead of scanning it again.
     """
     commutative = not gens[0].sig.has_d
-    basis, lexps, pairs = [], [], []
+    basis, pairs = [], []
 
     def reduce_and_add(g):
         r = divide(g, basis, order, check=check)[1] if basis else g
@@ -75,11 +88,13 @@ def buchberger(gens, order, seed=None, check=False):
             return
         e, c = leading_data(r, order)
         r = Element(r.sig, integral(r)[0])
-        basis.append(r if c > 0 else -r)
-        lexps.append(e)
+        if c < 0:
+            r = -r
+        basis.append(Reducer(r, e, r.terms[e], 1))
         k = len(basis) - 1
         pairs.extend((i, k) for i in range(k))
-        pairs.sort(key=lambda ij: sum(map(max, lexps[ij[0]], lexps[ij[1]])))
+        pairs.sort(key=lambda ij: sum(map(max, basis[ij[0]].lexp,
+                                          basis[ij[1]].lexp)))
 
     for g in list(seed or []) + list(gens):
         if not g.is_zero():
@@ -88,14 +103,14 @@ def buchberger(gens, order, seed=None, check=False):
     while pairs:
         i, j = pairs.pop(0)
         done.add((i, j))
-        li, lj = lexps[i], lexps[j]
+        li, lj = basis[i].lexp, basis[j].lexp
         if commutative and all(min(a, b) == 0 for a, b in zip(li, lj)):
             continue
         lij = tuple(map(max, li, lj))
-        if not any(k not in (i, j) and _divides(lexps[k], lij)
+        if not any(k not in (i, j) and _divides(g.lexp, lij)
                    and (min(i, k), max(i, k)) in done
                    and (min(j, k), max(j, k)) in done
-                   for k in range(len(basis))):
+                   for k, g in enumerate(basis)):
             sp = s_pair(basis[i], basis[j], order)
             if not sp.is_zero():
                 reduce_and_add(sp)

@@ -4,7 +4,9 @@ An order is a list of integer weight rows compared lexicographically, with a
 final graded reverse-lexicographic tie-break so the comparison is always total.
 Each row is stored as its primitive integer vector: a positive scaling keeps
 the order.  `MatrixOrder.key` is the one ranking routine; every comparison in
-the package sorts or maximizes by it.
+the package sorts or maximizes by it.  Each order memoizes its keys; orders
+are built per completion (and per local merge), so a memo lives exactly as
+long as the work that fills it.
 """
 
 from operator import mul
@@ -13,10 +15,11 @@ from .linalg import primitive
 
 
 class MatrixOrder:
-    __slots__ = ("nslots", "rows")
+    __slots__ = ("nslots", "rows", "_keys")
 
     def __init__(self, nslots, rows):
         self.nslots = nslots
+        self._keys = {}
         self.rows = []
         for row in rows:
             row = tuple(row)
@@ -28,9 +31,15 @@ class MatrixOrder:
     def key(self, e):
         """Sort key of the exponent e: the row products, then the total
         degree, then the negated exponents read from the last slot (graded
-        revlex).  Injective, so distinct exponents never tie."""
-        return (*[sum(map(mul, row, e)) for row in self.rows], sum(e),
+        revlex).  Injective, so distinct exponents never tie.  Memoized on
+        the order, so the memo lives as long as the order: one completion
+        or one merge."""
+        k = self._keys.get(e)
+        if k is None:
+            k = self._keys[e] = (
+                *[sum(map(mul, row, e)) for row in self.rows], sum(e),
                 *[-x for x in reversed(e)])
+        return k
 
     def compare(self, a, b):
         """1 if a is greater, -1 if smaller, 0 iff equal."""

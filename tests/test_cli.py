@@ -550,3 +550,51 @@ def test_hostile_input_is_a_parse_error(tmp_path, name):
     assert time.monotonic() - t0 < 5.0
     assert (p.returncode, p.stdout) == (2, b"")
     assert p.stderr.startswith(b"parse error: ") and len(p.stderr) < 1024
+
+
+def test_check_fan_error_message_is_bounded(tmp_path):
+    # a cone of a 150-dimensional parameter space whose recorded equations
+    # are empty: the rebuilt basis has 150 rows of 150 entries, and the
+    # message shows a few of each and their lengths
+    doc = {"format": "grobfan-fan", "mode": "global-fan", "ambient_dim": 1,
+           "parameter_dim": 150, "subspace_rows": [["0"]] * 150,
+           "cones": [{"id": 0, "dim": 0, "equations": [], "facets": [],
+                      "rays": [], "lineality": []}],
+           "incidence": []}
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    t0 = time.monotonic()
+    p = subprocess.run([sys.executable, "-m", "grobfan.cli", "--input",
+                        str(path)], capture_output=True, timeout=60)
+    assert time.monotonic() - t0 < 5.0
+    assert (p.returncode, p.stdout) == (4, b"")
+    assert p.stderr.startswith(
+        b"fan validation failed: cone 0: recorded equations [], rebuilt [[")
+    assert b"150 entries" in p.stderr and len(p.stderr) < 1024
+
+
+# Every module that importing grobfan.cli loads beyond a bare interpreter
+# (python -S, CPython 3.11), recorded when divide imported heapq inside its
+# body; an interpreter started with site loads some of these itself.
+# Import time feeds every command-line run, so a new module here is a
+# deliberate choice, not a side effect.
+IMPORT_CLOSURE = frozenset("""
+_blake2 _collections _collections_abc _decimal _functools _hashlib _json
+_operator _sre _stat _weakrefset argparse collections collections.abc copy
+copyreg decimal enum fractions functools genericpath gettext grobfan
+grobfan.cli grobfan.division grobfan.fans grobfan.groebner grobfan.linalg
+grobfan.localfan grobfan.orders grobfan.polyhedra grobfan.rational
+grobfan.rings hashlib itertools json json.decoder json.encoder json.scanner
+keyword math numbers operator os os.path posixpath re re._casefix
+re._compiler re._constants re._parser reprlib stat types warnings weakref
+""".split())
+
+
+def test_importing_the_cli_loads_no_new_module():
+    code = ("import sys\nbefore = set(sys.modules)\nimport grobfan.cli\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    p = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       timeout=60, check=True)
+    loaded = set(p.stdout.decode().split())
+    assert "grobfan.cli" in loaded
+    assert loaded <= IMPORT_CLOSURE, sorted(loaded - IMPORT_CLOSURE)

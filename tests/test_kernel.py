@@ -1,14 +1,17 @@
 """The fraction-free reduction kernel against the rational reference in
 reference_kernel.py: equal quotients, remainders and reduced bases, no float
-coefficient anywhere, and one leading-term scan per divisor."""
+coefficient anywhere, one leading-term scan per divisor, each basis element
+prepared once per completion, and the product step's exponent shift equal to
+the Element product."""
 
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_kernel as ref
-from grobfan import division
+from grobfan import division, groebner
 from grobfan.rational import QQ
 from grobfan.rings import RingSignature, Element
 from grobfan.orders import groebner_order, local_order
@@ -16,7 +19,7 @@ from grobfan.division import divide, mora_divide
 from grobfan.groebner import (Ideal, buchberger, interreduce, s_pair,
                               initial_ideal, homogenized_ideal)
 
-from conftest import elements, weights
+from conftest import elements, exponents, weights
 from test_groebner import _reduced_basis_inputs
 
 
@@ -126,3 +129,59 @@ def test_divide_scans_each_divisor_once(monkeypatch):
             assert len(calls) == len(basis) and r.is_zero()
             steps.append(sum(len(q.terms) for q in qs) / len(basis))
     assert max(steps) > 10
+
+
+def test_a_completion_prepares_each_basis_element_once(monkeypatch):
+    # buchberger scans and scales each element once, as it adds it; every
+    # later division, S-pair and the final interreduce read that Reducer
+    calls = Counter()
+    for module in (division, groebner):
+        for name in ("integral", "leading_data"):
+            def counting(*args, _fn=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(module, name, counting)
+    sizes = []
+    reduce = groebner.interreduce
+
+    def recording(basis, order, check=False):
+        out = reduce(basis, order, check=check)
+        sizes.append((len(basis), len(out)))
+        return out
+
+    monkeypatch.setattr(groebner, "interreduce", recording)
+    for gens, order in _reduced_basis_inputs():
+        calls.clear()
+        del sizes[:]
+        basis = buchberger(gens, order)
+        [(added, kept)] = sizes
+        assert kept == len(basis)
+        assert calls["leading_data"] <= added + kept
+        assert calls["integral"] <= added + kept
+
+
+SHIFT_SIGS = (RingSignature(2, "poly", "alpha"),
+              RingSignature(1, "weyl", "h11"),
+              RingSignature(2, "weyl", "h11"),
+              RingSignature(1, "weyl", "double"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_shift_equals_the_element_product(data):
+    # x^a h^c times a normally ordered element: adding exponents is the
+    # product, in the commutative ring and in both Weyl lifts
+    sig = data.draw(st.sampled_from(SHIFT_SIGS))
+    g = data.draw(elements(sig, max_terms=5, max_deg=3))
+    m = data.draw(exponents(sig.nslots, max_deg=3))
+    if sig.has_d:
+        m = m[:sig.n] + (0,) * sig.n + m[2 * sig.n:]
+    assert division._shift(m, g) == (Element(sig, {m: 1}) * g).terms
+
+
+def test_shift_is_not_the_product_past_a_derivation():
+    # the reason divide multiplies by a monomial with a d part in full
+    sig = RingSignature(1, "weyl", "h11")
+    x, d = (1, 0, 0), (0, 1, 0)
+    g = Element(sig, {x: 1})
+    assert division._shift(d, g) != (Element(sig, {d: 1}) * g).terms

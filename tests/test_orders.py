@@ -79,6 +79,27 @@ def test_sort_key_reproduces_row_by_row_comparison(case):
     assert leading_data(p, o)[0] == best
 
 
+def _key_formula(rows, e):
+    return (*[sum(w * x for w, x in zip(row, e)) for row in rows], sum(e),
+            *[-x for x in reversed(e)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda m: st.tuples(
+    st.just(m), _rational_rows(m), _rational_rows(m),
+    st.lists(st.tuples(*([st.integers(0, 3)] * m)), min_size=1,
+             max_size=8))))
+def test_memoized_key_equals_the_formula(case):
+    # each order memoizes its own keys: two orders asked about the same
+    # exponents, in turn and twice over, each answer by their own rows
+    m, rows_a, rows_b, exps = case
+    a, b = MatrixOrder(m, rows_a), MatrixOrder(m, rows_b)
+    for e in exps + exps:
+        for o in (a, b):
+            assert o.key(e) == _key_formula(o.rows, e)
+    assert a._keys is not b._keys and set(a._keys) == set(exps)
+
+
 def test_comparison_is_total_and_antisymmetric():
     o = MatrixOrder(2, [(1, 1)])
     pts = [(i, j) for i in range(3) for j in range(3)]
