@@ -1,8 +1,8 @@
 """Groebner cones of a homogenized ideal and their enumeration by facet
 flipping, restricted to a linearly parametrized subspace of weights.
-The cones form a fan, so a flip across a facet is one completion, under
-the order ranking by a point inside the facet and then by the crossing
-direction; a facet's far side, once found, is looked up by its face's key.
+Each cone, a flip's too, is one completion of the ideal's generators: a
+flip ranks by a point inside the facet, then by the crossing direction.  A
+facet's far side, once found, is looked up by its face's key.
 """
 
 from copy import copy
@@ -10,7 +10,7 @@ from itertools import count
 
 from .rational import QQ
 from .linalg import vdot, is_zero_vec, nullspace
-from .orders import groebner_order, leading_data
+from .orders import groebner_order
 from .groebner import buchberger, initial_ideal
 from .polyhedra import HCone, assemble_closed_fan  # re-exported
 
@@ -99,17 +99,19 @@ class GroebnerCone:
         return self.cone.key()
 
 
-def groebner_cone(hideal, y, S, seed=None, check=False, d=None):
+def groebner_cone(hideal, y, S, check=False, d=None):
     """The closed equivalence-class cone of the parameter point y: weights
     whose initial forms of the reduced basis all agree with those at y,
     intersected with the subspace region.  With a direction d it is the
     cone of y + eps*d for all small eps > 0: the basis is computed under the
     order ranking by y, then by d, and the witness is the first of y + d,
-    y + d/2, ... inside the cone, at which the initials are taken."""
+    y + d/2, ... inside the cone, at which the initials are taken.  A basis
+    element adds e0 - a for each term a, with e0 any top-weight term: the
+    lead is one, and another shifts each e0 - a by one of the equations."""
     sig = hideal.sig
     ws = [S.to_ambient(v) for v in (y, d) if v is not None]
     order = groebner_order(sig, *ws)
-    basis = buchberger(hideal.generators, order, seed=seed, check=check)
+    basis = buchberger(hideal.generators, order, check=check)
     rows = [sig.slot_weight(w) for w in ws]
     wd = sig.weight_dim
 
@@ -118,11 +120,11 @@ def groebner_cone(hideal, y, S, seed=None, check=False, d=None):
 
     eqs, ineqs = [], []
     for g in basis:
-        top = max(map(weight, g.terms))
-        e0, _ = leading_data(g, order)
+        e0 = max(g.terms, key=weight)
+        top = weight(e0)
         for a in g.terms:
             pc = S.pullback(tuple(x - z for x, z in zip(e0[:wd], a[:wd])))
-            if not is_zero_vec(pc):  # the lead itself pulls back to zero
+            if not is_zero_vec(pc):  # e0 itself pulls back to zero
                 (eqs if weight(a) == top else ineqs).append(pc)
     cone = HCone(S.dim, ineqs, eqs).intersect(S.region)
     witness = tuple(QQ(c) for c in y)
@@ -178,14 +180,13 @@ def facet_on_border(cone, facet, S):
 
 def flip(gc, facet, hideal, S, check=False):
     """Cross a facet of a maximal cone to the adjacent maximal cone: one
-    completion under the order ranking by a relative-interior point of the
-    facet first and by the crossing direction next."""
+    completion of the generators, not of the old basis, under the order
+    ranking by a point inside the facet and then by the crossing direction."""
     face = gc.cone.facet_faces()[facet]
     d = _projected_direction(facet, gc.cone.equation_basis())
     if is_zero_vec(d):
         raise RuntimeError("degenerate flip direction")
-    nb = groebner_cone(hideal, face.relint_point(), S, seed=gc.basis,
-                       check=check, d=d)
+    nb = groebner_cone(hideal, face.relint_point(), S, check=check, d=d)
     if (nb.cone.dim != S.region.dim
             or gc.cone.intersect(nb.cone).key() != face.key()):
         raise RuntimeError("the cone past facet %r is not adjacent across it"

@@ -1,9 +1,9 @@
 """Buchberger completion and reduced bases in the homogenized rings, plus
 standard bases of local ideals obtained by dehomogenization.  Completion
-keeps each basis element primitive with a positive lead, prepared once as a
-division.Reducer that every later division, S-pair and the final
-interreduce reuse, and forms S-pairs with integer cofactors; only
-interreduce makes the unique reduced basis monic."""
+starts from the generators alone and keeps each basis element primitive
+with a positive lead, prepared once as a division.Reducer that every later
+division, S-pair and the final interreduce reuse, and forms S-pairs with
+integer cofactors; only interreduce makes the unique reduced basis monic."""
 
 from .rational import QQ
 from .rings import Element, LIFTS, LIFT_TABLE, homogenize, dehomogenize
@@ -68,16 +68,15 @@ def interreduce(basis, order, check=False):
     return out
 
 
-def buchberger(gens, order, seed=None, check=False):
+def buchberger(gens, order, check=False):
     """Unique reduced basis of the (left) ideal generated by gens.
 
     Pair selection uses the normal strategy (smallest lcm degree); the chain
     criterion always applies, the coprimality criterion only in commutative
-    signatures (monomial commutators break it otherwise).  An optional seed
-    basis warm-starts the completion.  Each basis element is prepared once,
-    as it is added: kept primitive with a positive lead, it is its own
-    Reducer, which every later division, S-pair and the final interreduce
-    read instead of scanning it again.
+    signatures (monomial commutators break it otherwise).  Each basis
+    element is prepared once, as it is added: kept primitive with a
+    positive lead, it is its own Reducer, which every later division,
+    S-pair and the final interreduce read instead of scanning it again.
     """
     commutative = not gens[0].sig.has_d
     basis, pairs = [], []
@@ -96,7 +95,7 @@ def buchberger(gens, order, seed=None, check=False):
         pairs.sort(key=lambda ij: sum(map(max, basis[ij[0]].lexp,
                                           basis[ij[1]].lexp)))
 
-    for g in list(seed or []) + list(gens):
+    for g in gens:
         if not g.is_zero():
             reduce_and_add(g)
     done = set()

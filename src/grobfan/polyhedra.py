@@ -306,13 +306,23 @@ def validate_fan(cones):
     is an intersection of two faces of F, so a face of F.  It is therefore
     a face of A and of B, and so a face of s and of t.  Every cone of a
     face-closed family is a face of some maximal cone, so every pair of
-    cones is covered."""
-    family = {}
-    for c in cones:
-        family.setdefault(c.key(), c)
+    cones is covered.
+
+    A problem names a cone by its first position in `cones` and its
+    dimension, and a missing face by its facet position in its cone, so a
+    message stays short however large the cones are."""
+    family, pos = {}, {}
+    for i, c in enumerate(cones):
+        if c.key() not in family:
+            family[c.key()], pos[c.key()] = c, i
+
+    def name(k):
+        return "cone %d (dim %d)" % (pos[k], family[k].dim)
+
     lattice = face_lattice(family.values())
-    problems = ["missing face %r of %r" % (lattice[f][0], c)
-                for k, c in family.items() for f in lattice[k][1]
+    problems = ["missing face: facet %d (dim %d) of %s"
+                % (j, lattice[f][0].dim, name(k))
+                for k in family for j, f in enumerate(lattice[k][1])
                 if f not in family]
     facets = {f for _, keys in lattice.values() for f in keys}
     maximal = [k for k in family if k not in facets]
@@ -322,8 +332,8 @@ def validate_fan(cones):
     for a, b in combinations(maximal, 2):
         cap = family[a].intersect(family[b]).key()
         if cap not in faces[a] or cap not in faces[b]:
-            problems.append("intersection of %r and %r is not a common face"
-                            % (family[a], family[b]))
+            problems.append("intersection of %s and %s is not a common face"
+                            % (name(a), name(b)))
     return (not problems), problems
 
 

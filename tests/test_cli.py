@@ -11,7 +11,7 @@ import pytest
 from grobfan.rational import QQ
 from grobfan.cli import (parse_problem, ParseError, run, emit,
                          check_fan_document, main, MAX_EXPONENT, MAX_TERMS,
-                         _incidence)
+                         _cone_record, _incidence)
 from grobfan.polyhedra import cone_from_rays
 
 CUSP = "ring poly(x,y);\nideal: x^3 - y^2;\nmode: local-fan;\n"
@@ -571,6 +571,27 @@ def test_check_fan_error_message_is_bounded(tmp_path):
     assert p.stderr.startswith(
         b"fan validation failed: cone 0: recorded equations [], rebuilt [[")
     assert b"150 entries" in p.stderr and len(p.stderr) < 1024
+
+
+def test_fan_axiom_message_is_bounded(tmp_path):
+    # a consistent document whose one cone, 2-dimensional in a
+    # 150-dimensional parameter space, lacks its two ray faces: the fan
+    # axioms fail, and the message names the cone by id and dimension
+    # rather than writing out its 148 equations
+    cone = cone_from_rays(150, [(1,) + (0,) * 149, (0, 1) + (0,) * 148])
+    doc = {"format": "grobfan-fan", "mode": "global-fan", "ambient_dim": 1,
+           "parameter_dim": 150, "subspace_rows": [["0"]] * 150,
+           "cones": [dict(_cone_record(cone), id=0)],
+           "incidence": _incidence([cone])}
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    t0 = time.monotonic()
+    p = subprocess.run([sys.executable, "-m", "grobfan.cli", "--input",
+                        str(path)], capture_output=True, timeout=60)
+    assert time.monotonic() - t0 < 5.0
+    assert (p.returncode, p.stdout) == (4, b"")
+    assert p.stderr.startswith(b"fan validation failed: missing face")
+    assert b"of cone 0 (dim 2)" in p.stderr and len(p.stderr) < 1024
 
 
 # Every module that importing grobfan.cli loads beyond a bare interpreter

@@ -2,10 +2,11 @@
 
 import random
 import re
+import sys
 
 import pytest
 
-from grobfan import fans
+from grobfan import fans, orders
 from grobfan.rational import QQ
 from grobfan.linalg import vdot
 from grobfan.rings import RingSignature, Element
@@ -201,7 +202,7 @@ def _halving_flip(gc, facet, hideal, S):
     for _ in range(64):
         y = tuple(a + eps * b for a, b in zip(p, d))
         if S.region.contains(y) and vdot(facet, y) < 0:
-            nb = groebner_cone(hideal, y, S, seed=gc.basis)
+            nb = groebner_cone(hideal, y, S)
             if (nb.cone.dim == S.region.dim and nb.cone.strictly_contains(y)
                     and gc.cone.intersect(nb.cone).key() == face.key()):
                 return nb
@@ -245,6 +246,64 @@ def test_flip_is_one_completion_and_matches_the_halving_flip(monkeypatch):
                 assert nb.initials == ref.initials
                 flips += 1
     assert flips >= 36
+
+
+def test_leads_are_scanned_only_inside_completions(monkeypatch):
+    # a completion finds each basis element's lead once; the cone takes
+    # each element's top-weight terms from the weights it evaluates and
+    # scans no lead again
+    depth, inside, outside = [0], [], []
+    buchberger, scan = fans.buchberger, orders.leading_data
+
+    def completing(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return buchberger(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def counting(p, order):
+        (inside if depth[0] else outside).append(p)
+        return scan(p, order)
+
+    monkeypatch.setattr(fans, "buchberger", completing)
+    for name, mod in list(sys.modules.items()):
+        if (name.split(".")[0] == "grobfan"
+                and getattr(mod, "leading_data", None) is scan):
+            monkeypatch.setattr(mod, "leading_data", counting)
+    for hid, S in _walk_cases():
+        enumerate_cones(hid, S)
+    assert inside and not outside
+
+
+def test_a_flip_completes_the_generators_alone(monkeypatch):
+    # the cone past a facet comes from the ideal's generators and from
+    # nothing of the old cone's basis: the reduced basis under an order is
+    # unique, so the old basis can only repeat work
+    received, current = [], []
+    buchberger, flip_ = fans.buchberger, fans.flip
+
+    def completing(*args, **kwargs):
+        if current:
+            current[-1].append([g for v in args + tuple(kwargs.values())
+                                if isinstance(v, (list, tuple))
+                                for g in v if isinstance(g, Element)])
+        return buchberger(*args, **kwargs)
+
+    def flipping(gc, facet, hideal, *args, **kwargs):
+        current.append([])
+        try:
+            return flip_(gc, facet, hideal, *args, **kwargs)
+        finally:
+            received.append((hideal.generators, current.pop()))
+
+    monkeypatch.setattr(fans, "buchberger", completing)
+    monkeypatch.setattr(fans, "flip", flipping)
+    for hid, S in _walk_cases():
+        enumerate_cones(hid, S)
+    assert len(received) >= 15
+    for gens, inputs in received:
+        assert inputs == [gens]
 
 
 def test_facet_on_border_matches_the_generator_test():
