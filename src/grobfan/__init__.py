@@ -11,9 +11,7 @@ from .division import divide, mora_divide
 from .groebner import (Ideal, buchberger, interreduce, initial_ideal,
                        homogenized_ideal, local_standard_basis)
 from .polyhedra import (HCone, cone_from_rays, validate_fan,
-                        FanValidationError,
-                        RationalPolyhedron, newton_polyhedron, face_of,
-                        normal_cone, minkowski_sum, normal_fan)
+                        FanValidationError, newton_polyhedron, normal_fan)
 from .fans import (WeightSubspace, full_subspace, region_cone,
                    groebner_cone, enumerate_cones, assemble_closed_fan, flip)
 from .localfan import (local_initials_equal, merge_classes,

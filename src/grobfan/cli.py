@@ -319,12 +319,30 @@ class ProblemSpec:
         self.alpha = None
 
 
+def _check_slot_names(sig):
+    """A ParseError unless the ring's variables, their derivations and the
+    homogenizers h and h' have distinct names, so that a name in the ideal
+    and in the printed initial forms reads one way."""
+    seen = {"h": "the homogenizer", "h'": "the second homogenizer"}
+    for nm in sig.names:
+        slots = [(nm, "variable %s" % nm)]
+        if sig.has_d:
+            slots.append(("d" + nm, "the derivation of %s" % nm))
+        for name, role in slots:
+            if name in seen:
+                raise ParseError("ring names clash: %s is %s and %s"
+                                 % (name, seen[name], role))
+            seen[name] = role
+
+
 def parse_problem(text):
     ts = _Stream(tokenize(text))
     spec = ProblemSpec()
     while ts.peek()[0] != "eof":
         kw = _dashed_name(ts)
         if kw == "ring":
+            if spec.sig is not None:
+                ts.error("a second ring statement (one ring per problem)")
             kind = ts.expect("name", "poly or weyl")[1]
             if kind not in (POLY, WEYL):
                 ts.error("ring kind must be poly or weyl")
@@ -336,6 +354,7 @@ def parse_problem(text):
             ts.expect(")")
             ts.expect(";")
             spec.sig = RingSignature(len(names), kind, names=names)
+            _check_slot_names(spec.sig)
             continue
         ts.expect(":", "':'")
         if kw == "ideal":
@@ -531,16 +550,12 @@ def run(spec, text="", validate=False):
     if mode == "normal-fan":
         if len(ideal.generators) != 1:
             raise ParseError("normal-fan needs exactly one generator")
-        g = ideal.generators[0]
-        np = newton_polyhedron(g)
-        dual = HCone(np.ambient, [tuple(-x for x in r) for r in np.rays])
-        cones = normal_fan(np, dual)
-        Sfull = WeightSubspace(
-            np.ambient,
-            [tuple(1 if j == i else 0 for j in range(np.ambient))
-             for i in range(np.ambient)],
-            dual)
-        return _fan_document(mode, Sfull, cones, {}, None, text)
+        n = sig.nslots
+        units = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+        region = HCone(n, [tuple(-x for x in u) for u in units])
+        cones = normal_fan(newton_polyhedron(ideal.generators[0]), region)
+        return _fan_document(mode, WeightSubspace(n, units, region), cones,
+                             {}, None, text)
 
     if mode == "local-fan":
         lf = assemble_local_fan(ideal, S)
@@ -563,18 +578,19 @@ def run(spec, text="", validate=False):
 
     # global-fan
     hid = homogenized_ideal(ideal, mode=lift, alpha=spec.alpha)
-    maximal = enumerate_cones(hid, S)
-    cones = assemble_closed_fan([gc.cone for gc in maximal])
-    if validate:
-        ok, problems = validate_fan(cones)
-        if not ok:
-            raise FanValidationError(problems[0])
-    annotations = {}
-    for gc in maximal:
+    annotations, maximal = {}, []
+    for gc in enumerate_cones(hid, S):
         annotations[gc.key()] = {
             "witness": [qstr(x) for x in gc.witness],
             "initials": sorted(str(g) for g in gc.initials),
         }
+        maximal.append(gc.cone)
+    del gc  # the last basis: none is alive while the fan is closed
+    cones = assemble_closed_fan(maximal)
+    if validate:
+        ok, problems = validate_fan(cones)
+        if not ok:
+            raise FanValidationError(problems[0])
     return _fan_document(mode, S, cones, annotations, None, text)
 
 

@@ -20,10 +20,10 @@ _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
 START_BUDGET = 64
 
 
-def region_cone(sig, kind, ambient=None):
+def region_cone(sig, kind):
     """Standard closed weight regions, as H-cones on the x/d weight block."""
     n = sig.n
-    m = ambient if ambient is not None else sig.weight_dim
+    m = sig.weight_dim
     def unit(i, s=1):
         return tuple(s if j == i else 0 for j in range(m))
     if kind == "uloc":

@@ -1,4 +1,4 @@
-"""Exact rational cones, polyhedra, Newton polyhedra and fan validation.
+"""Exact rational cones, fan validation, and normal fans of Newton polyhedra.
 
 Cones are stored in H-form (integer covectors; inequalities mean c.x >= 0).
 Canonicalization runs a fraction-free double description pass to obtain
@@ -12,6 +12,7 @@ read `face_lattice`, one walk down the facets of a family of cones.
 """
 
 from itertools import combinations
+from operator import le
 
 from .linalg import (vdot, primitive, primitive_signed, rref, rank,
                      reduce_mod_rowspace, is_zero_vec)
@@ -194,10 +195,6 @@ class HCone:
         return hash(self.key())
 
     # --- queries ----------------------------------------------------
-    def contains(self, x):
-        return (all(vdot(c, x) == 0 for c in self.eqs)
-                and all(vdot(c, x) >= 0 for c in self.ineqs))
-
     def strictly_contains(self, x):
         """x in the relative interior: on the linear span (every canonical
         equation vanishes) and strictly positive on every facet."""
@@ -234,13 +231,6 @@ class HCone:
                     c["lines"], [r for r in c["rays"] if vdot(f, r) == 0])
                 self._facet_faces[f] = face
         return self._facet_faces
-
-    def facet_face(self, f):
-        """The face {f = 0} for a facet covector f of the cone."""
-        face = self.facet_faces().get(f)
-        if face is None:
-            raise ValueError("%r is not a facet covector of %r" % (f, self))
-        return face
 
     def facet_keys(self):
         """The keys of the facet faces, in facet covector order: two
@@ -339,122 +329,32 @@ def validate_fan(cones):
 
 # --- Newton polyhedra ----------------------------------------------------
 
-ORTHANT = "orthant"
-WLOC_STAR = "wlocstar"
-
-
-class RationalPolyhedron:
-    """conv(E) + cone(recession rays), with E kept minimal."""
-
-    __slots__ = ("ambient", "E", "rays")
-
-    def __init__(self, ambient, points, rays):
-        self.ambient = ambient
-        self.rays = [primitive(r) for r in rays]
-        # the recession cones in use are pointed, so dominance is a strict
-        # partial order and dropping dominated points is unambiguous
-        rcone = cone_from_rays(ambient, self.rays)
-        pts = sorted(set(points))
-        self.E = [v for v in pts if not any(
-            u != v and rcone.contains(tuple(x - y for x, y in zip(v, u)))
-            for u in pts)]
-
-    def __eq__(self, other):
-        return (isinstance(other, RationalPolyhedron)
-                and self.E == other.E
-                and sorted(self.rays) == sorted(other.rays))
-
-    def __repr__(self):
-        return "RationalPolyhedron(E=%r, rays=%r)" % (self.E, self.rays)
-
-
-def recession_rays(ambient, kind, n=None):
-    if kind == ORTHANT:
-        return [tuple(1 if j == i else 0 for j in range(ambient))
-                for i in range(ambient)]
-    if kind == WLOC_STAR:
-        if n is None or ambient != 2 * n:
-            raise ValueError("dual recession cone needs ambient 2n")
-        out = []
-        for i in range(n):
-            out.append(tuple(1 if j == i else 0 for j in range(ambient)))
-        for i in range(n):
-            out.append(tuple(-1 if j in (i, n + i) else 0
-                             for j in range(ambient)))
-        return out
-    raise ValueError("unknown recession kind %r" % (kind,))
-
-
-def newton_polyhedron(g, recession=ORTHANT):
-    """Newton polyhedron of an element: the hull of its support (for the
-    dual-recession differential case, supports are projected by dropping the
-    h slot) plus the prescribed recession cone."""
+def newton_polyhedron(g):
+    """The staircase of an element, sorted: the support exponents that no
+    other support exponent divides.  They fix its Newton polyhedron
+    conv(supp g) + R>=0^n, because the orthant is that polyhedron's
+    recession cone (Sturmfels, Groebner Bases and Convex Polytopes, 1996,
+    ch. 2)."""
     if g.is_zero():
         raise ValueError("Newton polyhedron of zero")
-    sig = g.sig
-    if recession == ORTHANT:
-        pts = list(g.terms)
-        ambient = sig.nslots
-        rays = recession_rays(ambient, ORTHANT)
-    else:
-        if not sig.has_h or sig.has_h2:
-            raise ValueError("dual recession expects an h01 element")
-        ambient = 2 * sig.n
-        pts = [e[:ambient] for e in g.terms]
-        rays = recession_rays(ambient, WLOC_STAR, n=sig.n)
-    return RationalPolyhedron(ambient, pts, rays)
+    pts = g.terms
+    return sorted(v for v in pts
+                  if not any(u != v and all(map(le, u, v)) for u in pts))
 
 
-def face_of(p, w):
-    """The face selected by the weight w (maximizing convention)."""
-    for r in p.rays:
-        if vdot(w, r) > 0:
-            raise ValueError("weight unbounded above on the recession cone")
-    m = max(vdot(w, e) for e in p.E)
-    ew = [e for e in p.E if vdot(w, e) == m]
-    tight = [r for r in p.rays if vdot(w, r) == 0]
-    return RationalPolyhedron(p.ambient, ew, tight)
-
-
-def normal_cone(p, w, region=None):
-    """Closed cone of weights selecting the same face as w, inside the
-    region."""
-    for r in p.rays:
-        if vdot(w, r) > 0:
-            raise ValueError("weight outside the region dual to recession")
-    m = max(vdot(w, e) for e in p.E)
-    ew = [e for e in p.E if vdot(w, e) == m]
-    rest = [e for e in p.E if vdot(w, e) != m]
-    e0 = ew[0]
-    eqs = [tuple(a - b for a, b in zip(e0, e)) for e in ew[1:]]
-    ineqs = [tuple(a - b for a, b in zip(e0, e)) for e in rest]
-    for r in p.rays:
-        if vdot(w, r) == 0:
-            eqs.append(r)
-        else:
-            ineqs.append(tuple(-x for x in r))
-    cone = HCone(p.ambient, ineqs, eqs)
-    if region is not None:
-        cone = cone.intersect(region)
-    return cone
-
-
-def minkowski_sum(a, b):
-    if a.ambient != b.ambient or sorted(a.rays) != sorted(b.rays):
-        raise ValueError("polyhedra are not compatible")
-    pts = [tuple(x + y for x, y in zip(p, q)) for p in a.E for q in b.E]
-    return RationalPolyhedron(a.ambient, pts, a.rays)
-
-
-def normal_fan(p, region):
-    """All normal cones of a polyhedron within the region, assembled as a
-    closed fan (maximal cones at vertices, lower cones as faces)."""
+def normal_fan(points, region):
+    """The normal fan of conv(points) + R>=0^n within the region, closed:
+    the maximal cones, one at each vertex, and their faces.  A vertex's
+    cone holds the weights w with w.v >= w.e for every point e and w <= 0,
+    the dual of the recession orthant."""
+    n = region.ambient
+    neg_units = [tuple(-1 if j == i else 0 for j in range(n))
+                 for i in range(n)]
     rdim = region.dim
     maximal = {}
-    for v in p.E:
-        ineqs = [tuple(a - b for a, b in zip(v, e)) for e in p.E if e != v]
-        ineqs += [tuple(-x for x in r) for r in p.rays]
-        c = HCone(p.ambient, ineqs).intersect(region)
+    for v in points:
+        ineqs = [tuple(a - b for a, b in zip(v, e)) for e in points if e != v]
+        c = HCone(n, ineqs + neg_units).intersect(region)
         if c.dim == rdim:
             maximal.setdefault(c.key(), c)
     return assemble_closed_fan(maximal.values())

@@ -86,10 +86,6 @@ class RingSignature:
         return self.kind == WEYL
 
     @property
-    def has_h(self):
-        return bool(self.commutator)
-
-    @property
     def has_h2(self):
         return len(self.commutator) == 2
 

@@ -1,5 +1,6 @@
 """Problem-text parsing, mode dispatch, emission, and exit codes."""
 
+import gc
 import io
 import json
 import subprocess
@@ -8,6 +9,7 @@ import time
 
 import pytest
 
+from grobfan import cli, fans
 from grobfan.rational import QQ
 from grobfan.cli import (parse_problem, ParseError, run, emit,
                          check_fan_document, main, MAX_EXPONENT, MAX_TERMS,
@@ -524,8 +526,8 @@ def _long_ray_document():
     return json.dumps(doc).replace('"LONG"', "-" + "3" * 5001)
 
 
-# each input hits a limit of Python itself unless the parser or the
-# document reader stops it first
+# each input hits a limit of Python itself, or fails in the computation,
+# unless the parser or the document reader stops it first
 HOSTILE = {
     "nested-parentheses": lambda: CUSP.replace(
         "x^3", "(" * 200000 + "x^3" + ")" * 200000),
@@ -535,6 +537,8 @@ HOSTILE = {
     "long-coefficient": lambda: CUSP.replace("x^3", "7" * 5001 + "*x^3"),
     "exponent-cap": lambda: CUSP.replace("x^3", "x^%d" % (MAX_EXPONENT + 1)),
     "term-cap": lambda: "ring poly(x,y,z);\nideal: (1+x+y+z)^40;\n",
+    "second-ring": lambda: ("ring poly(x); ideal: x; ring poly(x,y); "
+                            "mode: global-fan;"),
 }
 
 
@@ -550,6 +554,44 @@ def test_hostile_input_is_a_parse_error(tmp_path, name):
     assert time.monotonic() - t0 < 5.0
     assert (p.returncode, p.stdout) == (2, b"")
     assert p.stderr.startswith(b"parse error: ") and len(p.stderr) < 1024
+
+
+@pytest.mark.parametrize("text,clash", [
+    ("ring poly(x,x);\nideal: x;\nmode: local-fan;\n",
+     "x is variable x and variable x"),
+    ("ring weyl(x,dx);\nideal: dx;\nmode: global-fan;\n",
+     "dx is the derivation of x and variable dx"),
+    ("ring poly(h);\nideal: h^2-h;\nmode: global-fan;\n",
+     "h is the homogenizer and variable h"),
+], ids=["repeated-variable", "variable-named-as-a-derivation",
+        "variable-named-as-the-homogenizer"])
+def test_ring_names_that_clash_are_a_parse_error(tmp_path, text, clash):
+    # a name that could read as two slots, in the ideal or in the printed
+    # initial forms, is refused with the clash named
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    p = subprocess.run([sys.executable, "-m", "grobfan.cli", "--input",
+                        str(path)], capture_output=True, timeout=60)
+    assert (p.returncode, p.stdout) == (2, b"")
+    assert p.stderr.decode() == "parse error: ring names clash: %s\n" % clash
+
+
+def test_global_run_frees_every_basis_before_closing_the_fan(monkeypatch):
+    # the enumeration's bases are read once, for the annotations; none is
+    # alive while the fan is closed, validated and written
+    alive = []
+
+    def counting(original):
+        def wrapper(*args):
+            alive.append(sum(isinstance(o, fans.GroebnerCone)
+                             for o in gc.get_objects()))
+            return original(*args)
+        return wrapper
+
+    for name in ("assemble_closed_fan", "validate_fan", "_fan_document"):
+        monkeypatch.setattr(cli, name, counting(getattr(cli, name)))
+    doc = run(parse_problem(BS), validate=True)
+    assert len(doc["cones"]) > 1 and alive == [0, 0, 0]
 
 
 def test_check_fan_error_message_is_bounded(tmp_path):
